@@ -13,10 +13,10 @@ from .pmcmc import PMCMCResult, run_pmcmc
 from .smc2 import SMC2Config, SMC2Result, run_smc2
 from .ssm import (
     Dataset,
+    LinearGaussianModel,
     SIRConfig,
     SIRModel,
     kalman_loglik,
-    lg_model,
     read_dataset,
     simulate,
     simulate_sir,
@@ -27,6 +27,7 @@ __all__ = [
     "Communicator",
     "Dataset",
     "GlobalSlice",
+    "LinearGaussianModel",
     "PFConfig",
     "PMCMCResult",
     "SIRConfig",
@@ -34,7 +35,6 @@ __all__ = [
     "SMC2Config",
     "SMC2Result",
     "kalman_loglik",
-    "lg_model",
     "read_dataset",
     "run_pf",
     "run_pmcmc",

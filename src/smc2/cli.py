@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -67,9 +68,9 @@ class RunReport:
 # Shared argument handling.
 
 
-def _add_run_flags(sub: argparse.ArgumentParser, list_sweep: bool = False) -> None:
-    sub.add_argument("--model", choices=("sir",), default="sir",
-                     help="state-space model (only the epidemic model is wired up)")
+def _add_run_flags(sub: argparse.ArgumentParser, list_sweep: bool = False,
+                   smc2: bool = True) -> None:
+    """Sampler flags; `smc2` adds the worker count and the L-kernel."""
     if list_sweep:
         sub.add_argument("--n", default=None,
                          help="comma-separated theta-sample counts, powers of two")
@@ -78,16 +79,18 @@ def _add_run_flags(sub: argparse.ArgumentParser, list_sweep: bool = False) -> No
     else:
         sub.add_argument("--n", type=int, default=None,
                          help="theta-sample count N (power of two)")
-        sub.add_argument("--p", type=int, default=1,
-                         help="worker count P (power of two)")
+        if smc2:
+            sub.add_argument("--p", type=int, default=1,
+                             help="worker count P (power of two, at most N)")
     sub.add_argument("--k", type=int, default=None, help="outer iterations K")
     sub.add_argument("--nx", type=int, default=None,
                      help="state particles per filter")
     sub.add_argument("--seed", type=int, default=1, help="root seed")
     sub.add_argument("--sigma-scale", type=float, default=0.1,
                      help="random-walk proposal covariance is this times I")
-    sub.add_argument("--lkernel", choices=tuple(LKERNELS), default="forward",
-                     help="backward-kernel choice in the weight update")
+    if smc2:
+        sub.add_argument("--lkernel", choices=tuple(LKERNELS), default="forward",
+                         help="backward-kernel choice in the weight update")
     sub.add_argument("--profile", choices=tuple(PROFILES), default="desk",
                      help="size defaults: desk (quick) or paper (full scale)")
     sub.add_argument("--data", default=None,
@@ -107,6 +110,22 @@ def _require_at_least(name: str, value: int, low: int) -> None:
         raise UsageError(f"--{name} must be at least {low}, got {value}")
 
 
+def _require_sizes(n: int, k: int, nx: int, sigma_scale: float) -> None:
+    """The ranges SMC2Config and PFConfig accept, checked as usage errors."""
+    _require_power_of_two("n", n)
+    _require_at_least("n", n, 2)
+    _require_at_least("k", k, 1)
+    _require_at_least("nx", nx, 2)
+    if not (math.isfinite(sigma_scale) and sigma_scale > 0.0):
+        raise UsageError(f"--sigma-scale must be a positive number, got {sigma_scale}")
+
+
+def _require_workers(p: int, n: int) -> None:
+    _require_power_of_two("p", p)
+    if p > n:
+        raise UsageError(f"--p must not exceed --n, got P={p} and N={n}")
+
+
 def _int_list(name: str, text: str) -> list[int]:
     try:
         values = [int(part) for part in str(text).split(",") if part.strip() != ""]
@@ -122,14 +141,8 @@ def _resolve_sizes(args) -> tuple[int, int, int]:
     n = args.n if args.n is not None else profile["n"]
     k = args.k if args.k is not None else profile["k"]
     nx = args.nx if args.nx is not None else profile["nx"]
-    _require_power_of_two("n", n)
-    _require_at_least("k", k, 1)
-    _require_at_least("nx", nx, 1)
+    _require_sizes(n, k, nx, args.sigma_scale)
     return n, k, nx
-
-
-def _load_dataset(args) -> Dataset:
-    return _load_or_simulate_seeded(args, args.seed)
 
 
 def _model_for(dataset: Dataset, args) -> SIRModel:
@@ -188,8 +201,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_smc2(args) -> int:
     n, k, nx = _resolve_sizes(args)
-    _require_power_of_two("p", args.p)
-    dataset = _load_dataset(args)
+    _require_workers(args.p, n)
+    dataset = _load_or_simulate_seeded(args, args.seed)
     model = _model_for(dataset, args)
     config = _smc2_config(args, n, k, nx)
     result, rounds = _run_group(config, model, dataset, args.p, args.seed)
@@ -208,7 +221,7 @@ def cmd_pmcmc(args) -> int:
     n, k, nx = _resolve_sizes(args)
     m = args.m if args.m is not None else n * k
     _require_at_least("m", m, 2)
-    dataset = _load_dataset(args)
+    dataset = _load_or_simulate_seeded(args, args.seed)
     model = _model_for(dataset, args)
     rng = streams.stream(args.seed, streams.MCMC_CHAIN)
     result = run_pmcmc(model, dataset, m, args.sigma_scale * np.eye(2),
@@ -364,15 +377,13 @@ def cmd_benchmark(args) -> int:
     profile = PROFILES[args.profile]
     n_values = _int_list("n", args.n) if args.n is not None else [profile["n"]]
     p_values = _int_list("p", args.p)
-    for n in n_values:
-        _require_power_of_two("n", n)
-    for p in p_values:
-        _require_power_of_two("p", p)
     k = args.k if args.k is not None else profile["k"]
     nx = args.nx if args.nx is not None else profile["nx"]
     repeats = args.repeats if args.repeats is not None else profile["repeats"]
-    _require_at_least("k", k, 1)
-    _require_at_least("nx", nx, 1)
+    for n in n_values:
+        _require_sizes(n, k, nx, args.sigma_scale)
+        for p in p_values:
+            _require_workers(p, n)
     _require_at_least("repeats", repeats, 1)
     report = run_benchmark(args, n_values, p_values, k, nx, repeats,
                            args.include_pmcmc)
@@ -390,10 +401,10 @@ def cmd_convergence(args) -> int:
     if args.out is None:
         raise UsageError("convergence requires --out (used as a file prefix)")
     n, k, nx = _resolve_sizes(args)
-    _require_power_of_two("p", args.p)
+    _require_workers(args.p, n)
     m = args.m if args.m is not None else n * k
     _require_at_least("m", m, 2)
-    dataset = _load_dataset(args)
+    dataset = _load_or_simulate_seeded(args, args.seed)
     model = _model_for(dataset, args)
     config = _smc2_config(args, n, k, nx)
     result, _ = _run_group(config, model, dataset, args.p, args.seed)
@@ -456,7 +467,6 @@ def build_parser() -> Parser:
                                 metavar="{simulate,smc2,pmcmc,benchmark,convergence,validate}")
 
     p_sim = sub.add_parser("simulate", help="write a synthetic epidemic dataset")
-    p_sim.add_argument("--model", choices=("sir",), default="sir")
     p_sim.add_argument("--seed", type=int, default=1)
     p_sim.add_argument("--out", default=None, help="dataset CSV path")
     p_sim.add_argument("--reed-frost-standard", action="store_true")
@@ -467,7 +477,7 @@ def build_parser() -> Parser:
     p_smc2.set_defaults(func=cmd_smc2)
 
     p_pm = sub.add_parser("pmcmc", help="one particle-MCMC run")
-    _add_run_flags(p_pm)
+    _add_run_flags(p_pm, smc2=False)
     p_pm.add_argument("--m", type=int, default=None,
                       help="chain length (default K*N)")
     p_pm.set_defaults(func=cmd_pmcmc)

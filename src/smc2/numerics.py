@@ -78,12 +78,3 @@ def log_sum_exp(log_values: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):
         return float(m + np.log(np.sum(np.exp(a - m))))
 
-
-def normalized_from_log(log_values: np.ndarray) -> np.ndarray:
-    """Weights proportional to exp(log_values), summing to one."""
-    a = np.asarray(log_values, dtype=float)
-    m = np.max(a)
-    if m == float("-inf"):
-        raise ValueError("cannot normalize: all log weights are -inf")
-    shifted = np.exp(a - m)
-    return shifted / np.sum(shifted)

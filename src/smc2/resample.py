@@ -26,59 +26,19 @@ transport rounds for each of nearly sort and split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .comms import Communicator
 from .numerics import tree_exclusive_scan, tree_layers
 
 __all__ = [
-    "ShiftLedger",
-    "shift_ledger",
     "systematic_choice",
     "sequential_redistribute",
-    "rotational_nearly_sort",
-    "rotational_split",
     "parallel_redistribute",
     "reset_weights",
 ]
 
 _NORMALIZATION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ShiftLedger:
-    """Rotation bookkeeping for a global copy-count array (0-based).
-
-    shifts[i] counts the zero entries below i, the distance element i
-    must travel down during packing.  For surviving entries, copy j of
-    element i targets position csum[i] - ncopies[i] + j, so the copies
-    travel up by between min_shifts[i] and max_shifts[i] positions
-    during the split.
-    """
-
-    shifts: np.ndarray
-    csum: np.ndarray
-    min_shifts: np.ndarray
-    max_shifts: np.ndarray
-
-
-def shift_ledger(ncopies) -> ShiftLedger:
-    """Build the ShiftLedger for a global copy-count array."""
-    nc = _checked_ncopies(ncopies)
-    zeros_before = np.concatenate([[0], np.cumsum(nc == 0)[:-1]])
-    csum = np.cumsum(nc)
-    idx = np.arange(nc.shape[0])
-    positive = nc > 0
-    min_shifts = np.where(positive, csum - nc - idx, 0)
-    max_shifts = np.where(positive, csum - idx - 1, 0)
-    return ShiftLedger(
-        shifts=zeros_before.astype(np.int64),
-        csum=csum.astype(np.int64),
-        min_shifts=min_shifts.astype(np.int64),
-        max_shifts=max_shifts.astype(np.int64),
-    )
 
 
 def _checked_ncopies(ncopies, expected_total: int | None = None) -> np.ndarray:
@@ -270,65 +230,6 @@ def _split_local(comm, values, ncopies, csum, n_local, debug_log):
     if int(out_nc.sum()) != n_local:
         raise AssertionError("split left a rank unbalanced")
     return out_vals, out_nc
-
-
-def rotational_nearly_sort(comm: Communicator, values, ncopies):
-    """Pack all samples with positive copy counts to the lowest global
-    indices, preserving their relative order.
-
-    Returns the packed (values, ncopies) slices; positions past the
-    survivor block have zero counts and zero-filled values.  Standalone
-    entry point; `parallel_redistribute` fuses the offsets scan this
-    op performs with the one the split needs.
-    """
-    matrix, was_1d = _as_matrix(values)
-    nc = _checked_ncopies(ncopies)
-    k_local = int(np.count_nonzero(nc > 0))
-    s_local = int(nc.sum())
-    prefix, totals = comm.exclusive_scan_with_total(
-        np.array([k_local, s_local], dtype=np.int64)
-    )
-    csum = int(prefix[1]) + np.cumsum(nc)
-    vals, counts, _ = _nearly_sort_local(
-        comm, matrix, nc, csum, int(prefix[0]), int(totals[0]), None
-    )
-    packed_vals = np.zeros_like(matrix)
-    packed_nc = np.zeros_like(nc)
-    packed_vals[:counts.size] = vals
-    packed_nc[:counts.size] = counts
-    return (packed_vals[:, 0] if was_1d else packed_vals), packed_nc
-
-
-def rotational_split(comm: Communicator, values, ncopies):
-    """Balance a nearly sorted population so each rank holds exactly
-    N/P copies, each count sitting at the first slot of its run.
-
-    Standalone entry point; raises if the input is not nearly sorted.
-    """
-    matrix, was_1d = _as_matrix(values)
-    nc = _checked_ncopies(ncopies)
-    n_local = nc.shape[0]
-    k_local = int(np.count_nonzero(nc > 0))
-    s_local = int(nc.sum())
-    prefix, totals = comm.exclusive_scan_with_total(
-        np.array([k_local, s_local], dtype=np.int64)
-    )
-    k_carry, m_total = int(prefix[0]), int(totals[0])
-    expected_here = min(n_local, max(0, m_total - comm.rank * n_local))
-    if (
-        k_local != expected_here
-        or k_carry != min(comm.rank * n_local, m_total)
-        or np.any(nc[:k_local] <= 0)
-        or np.any(nc[k_local:] != 0)
-    ):
-        raise ValueError("input is not nearly sorted")
-    if int(totals[1]) != n_local * comm.size:
-        raise ValueError("copy counts do not sum to the population size")
-    csum = int(prefix[1]) + np.cumsum(nc)
-    out_vals, out_nc = _split_local(
-        comm, matrix[:k_local], nc[:k_local], csum[:k_local], n_local, None
-    )
-    return (out_vals[:, 0] if was_1d else out_vals), out_nc
 
 
 def parallel_redistribute(

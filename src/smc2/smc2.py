@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -47,22 +48,6 @@ def _regularization(cov: np.ndarray) -> float:
     return max(1e-8 * float(np.trace(cov)) / d, 1e-12)
 
 
-def _tree_total(values: np.ndarray):
-    """tree_sum with zero padding to the next power of two.
-
-    Padding with exact zeros leaves every partial sum unchanged, so
-    power-of-two populations (the only sizes the sampler runs) reduce
-    through the unpadded canonical tree while odd-sized inputs, which
-    appear in small worked examples, still get a well-defined total.
-    """
-    n = values.shape[0]
-    target = 1 << max(n - 1, 0).bit_length()
-    if target != n:
-        pad = np.zeros((target - n,) + values.shape[1:])
-        values = np.concatenate([values, pad], axis=0)
-    return tree_sum(values)
-
-
 @dataclass(frozen=True)
 class SMC2Config:
     """Outer-sampler settings.
@@ -80,7 +65,6 @@ class SMC2Config:
     pf_config: PFConfig
     lkernel: str = "forward_symmetric"
     resample_fraction: float = 0.5
-    weighted_lkernel_fit: bool = False
 
     def __post_init__(self) -> None:
         n = self.n_samples
@@ -207,17 +191,22 @@ def propose(theta_prev, config: SMC2Config, rng: np.random.Generator) -> np.ndar
     return np.asarray(theta_prev, dtype=float) + config.proposal_chol @ z
 
 
-def evaluate_target(model, dataset, theta, pf_config: PFConfig,
-                    rng: np.random.Generator) -> tuple[float, float]:
+def evaluate_target(model, dataset, theta, pf_config: PFConfig, make_rng,
+                    loglik_fn=None) -> tuple[float, float]:
     """Return (log_prior, log_lik) for one theta.
 
-    Out-of-support thetas short-circuit: the filter is never run and the
-    likelihood slot is reported as -inf (it is unused, the target is
-    already zero).
+    The likelihood is the particle filter's estimate, or loglik_fn(theta,
+    rng) when given.  `make_rng()` opens the stream it draws from.
+    Out-of-support thetas short-circuit: no stream is opened, the filter
+    is never run and the likelihood slot is reported as -inf (it is
+    unused, the target is already zero).
     """
     log_prior = float(model.log_prior(theta))
     if log_prior == float("-inf"):
         return log_prior, float("-inf")
+    rng = make_rng()
+    if loglik_fn is not None:
+        return log_prior, float(loglik_fn(theta, rng))
     return log_prior, run_pf(model, dataset, theta, pf_config, rng)
 
 
@@ -248,28 +237,26 @@ def init_population(config: SMC2Config, model, dataset, comm: Communicator,
             raise ValueError(
                 f"prior sample has shape {draw.shape}; proposal_cov implies ({dim},)"
             )
-        lp = float(model.log_prior(draw))
+        lp, log_lik[j] = evaluate_target(
+            model, dataset, draw, config.pf_config,
+            partial(streams.stream, root_seed, streams.PARTICLE_FILTER, k=1, i=g),
+            loglik_fn,
+        )
         if not np.isfinite(lp):
             raise RuntimeError("prior sampler produced a sample outside its own support")
         theta[j] = draw
         log_prior[j] = lp
-        pf_rng = streams.stream(root_seed, streams.PARTICLE_FILTER, k=1, i=g)
-        if loglik_fn is not None:
-            log_lik[j] = float(loglik_fn(draw, pf_rng))
-        else:
-            log_lik[j] = run_pf(model, dataset, draw, config.pf_config, pf_rng)
     return Population(theta=theta, log_prior=log_prior, log_lik=log_lik,
                       log_weights=log_lik.copy(), k=1)
 
 
-def fit_gaussian_joint(comm: Communicator, theta_prev, theta,
-                       weights=None) -> GaussianJointFit:
+def fit_gaussian_joint(comm: Communicator, theta_prev, theta) -> GaussianJointFit:
     """Fit a Gaussian to the pooled (theta_prev, theta) pairs across all ranks.
 
     Two reductions: one for the mean, one for the centered second moments.
     Centering before the outer products keeps the covariance accurate when
-    the means are far from zero.  Unweighted by default (population 1/N
-    normalization); pass normalized weights for the weighted variant.
+    the means are far from zero.  Every pair counts equally (population
+    1/N normalization).
     """
     theta_prev = np.asarray(theta_prev, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -278,14 +265,11 @@ def fit_gaussian_joint(comm: Communicator, theta_prev, theta,
     if n_total < 2:
         raise ValueError("joint Gaussian fit needs at least two samples")
     z = np.concatenate([theta_prev, theta], axis=1)  # (n_local, 2D)
-    if weights is None:
-        scale = np.full(n_local, 1.0 / n_total)
-    else:
-        scale = np.asarray(weights, dtype=float)
-    mean = comm.all_reduce_sum(_tree_total(scale[:, None] * z))
+    scale = 1.0 / n_total
+    mean = comm.all_reduce_sum(tree_sum(scale * z))
     dev = z - mean
-    outer = scale[:, None, None] * dev[:, :, None] * dev[:, None, :]
-    cov = comm.all_reduce_sum(_tree_total(outer.reshape(n_local, -1)))
+    outer = scale * dev[:, :, None] * dev[:, None, :]
+    cov = comm.all_reduce_sum(tree_sum(outer.reshape(n_local, -1)))
     cov = cov.reshape(2 * dim, 2 * dim)
     return GaussianJointFit(
         mean_prev=mean[:dim],
@@ -368,14 +352,14 @@ def normalize(comm: Communicator, log_weights) -> tuple[np.ndarray, float]:
             "population degenerate: every theta-sample weight is zero"
         )
     shifted = np.exp(log_weights - m)
-    total = float(comm.all_reduce_sum(_tree_total(shifted)))
+    total = float(comm.all_reduce_sum(tree_sum(shifted)))
     return shifted / total, m + float(np.log(total))
 
 
 def ess(comm: Communicator, normalized) -> float:
     """Effective sample size 1 / sum of squared normalized weights."""
     normalized = np.asarray(normalized, dtype=float)
-    denom = float(comm.all_reduce_sum(_tree_total(normalized * normalized)))
+    denom = float(comm.all_reduce_sum(tree_sum(normalized * normalized)))
     return 1.0 / denom
 
 
@@ -383,7 +367,7 @@ def estimate(comm: Communicator, theta, normalized) -> np.ndarray:
     """Weighted posterior-mean estimate over the current population."""
     theta = np.asarray(theta, dtype=float)
     normalized = np.asarray(normalized, dtype=float)
-    return comm.all_reduce_sum(_tree_total(normalized[:, None] * theta))
+    return comm.all_reduce_sum(tree_sum(normalized[:, None] * theta))
 
 
 def recycling_weight(comm: Communicator, log_weights) -> float:
@@ -399,7 +383,7 @@ def recycling_weight(comm: Communicator, log_weights) -> float:
         return 0.0
     shifted = np.exp(log_weights - m)
     sums = comm.all_reduce_sum(
-        np.array([float(_tree_total(shifted)), float(_tree_total(shifted * shifted))])
+        np.array([float(tree_sum(shifted)), float(tree_sum(shifted * shifted))])
     )
     return float(np.exp(2.0 * np.log(sums[0]) - np.log(sums[1])))
 
@@ -460,7 +444,6 @@ def run_smc2(config: SMC2Config, model, dataset, comm: Communicator,
     block = GlobalSlice.for_rank(n_total, comm.size, comm.rank)
     global_idx = [int(g) for g in block.global_indices()]
     prev_log_total = float(np.log(n_total))
-    prev_normalized = np.full(block.local_items, 1.0 / n_total)
     records: list[IterationRecord] = []
     l_values: list[float] = []
     estimates: list[np.ndarray] = []
@@ -479,26 +462,15 @@ def run_smc2(config: SMC2Config, model, dataset, comm: Communicator,
                         theta_old[j], config,
                         streams.stream(root_seed, streams.PROPOSAL, k=k, i=g),
                     )
-                    lp = float(model.log_prior(theta_new[j]))
-                    lp_new[j] = lp
-                    if lp == float("-inf"):
-                        ll_new[j] = float("-inf")
-                    elif loglik_fn is not None:
-                        ll_new[j] = float(loglik_fn(
-                            theta_new[j],
-                            streams.stream(root_seed, streams.PARTICLE_FILTER, k=k, i=g),
-                        ))
-                    else:
-                        ll_new[j] = run_pf(
-                            model, dataset, theta_new[j], config.pf_config,
-                            streams.stream(root_seed, streams.PARTICLE_FILTER, k=k, i=g),
-                        )
+                    lp_new[j], ll_new[j] = evaluate_target(
+                        model, dataset, theta_new[j], config.pf_config,
+                        partial(streams.stream, root_seed, streams.PARTICLE_FILTER,
+                                k=k, i=g),
+                        loglik_fn,
+                    )
                 log_l = log_q = None
                 if use_gaussian_kernel:
-                    fit = fit_gaussian_joint(
-                        comm, theta_old, theta_new,
-                        weights=prev_normalized if config.weighted_lkernel_fit else None,
-                    )
+                    fit = fit_gaussian_joint(comm, theta_old, theta_new)
                     log_l = np.array([
                         lkernel_log_density(theta_old[j], theta_new[j], fit)
                         for j in range(n_local)
@@ -541,9 +513,6 @@ def run_smc2(config: SMC2Config, model, dataset, comm: Communicator,
                     log_weights=reset_weights(pop.log_weights, n_total, log_total),
                     k=k,
                 )
-                prev_normalized = np.full(block.local_items, 1.0 / n_total)
-            else:
-                prev_normalized = normalized
         except GroupAborted:
             raise
         except Exception as exc:

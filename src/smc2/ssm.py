@@ -195,11 +195,6 @@ class LinearGaussianModel(SSMDefinition):
         return np.array([self.a])
 
 
-def lg_model(a: float, q: float, r: float) -> LinearGaussianModel:
-    """Build the scalar linear-Gaussian model used as a filter oracle."""
-    return LinearGaussianModel(a, q, r)
-
-
 def kalman_loglik(ys, a: float, q: float, r: float) -> float:
     """Exact log-likelihood of the scalar linear-Gaussian model.
 

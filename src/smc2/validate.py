@@ -23,7 +23,7 @@ from .resample import (
     systematic_choice,
 )
 from .smc2 import ess, normalize, recycle, recycling_weight
-from .ssm import SIRConfig, SIRModel, kalman_loglik, lg_model, simulate, simulate_sir
+from .ssm import LinearGaussianModel, SIRConfig, SIRModel, kalman_loglik, simulate, simulate_sir
 
 DEFAULT_CASES = {
     "comms": 120,
@@ -229,7 +229,7 @@ def suite_redistribution(cases: int, seed: int) -> SuiteResult:
 def suite_pf(cases: int, seed: int) -> SuiteResult:
     """Filter log-likelihoods against the exact Kalman recursion, plus edge cases."""
     failures: list[str] = []
-    model = lg_model(0.9, 1.0, 1.0)
+    model = LinearGaussianModel(0.9, 1.0, 1.0)
     dataset = simulate(model, np.array([0.9]), n_steps=10, seed=seed + 17)
     exact = kalman_loglik(dataset.y, 0.9, 1.0, 1.0)
     estimates = []
@@ -346,6 +346,3 @@ def run_suite(name: str, cases: int | None = None, seed: int = 0,
         raise ValueError("fault injection only applies to the choice suite")
     return SUITES[name](cases, seed)
 
-
-def run_all(cases: int | None = None, seed: int = 0) -> list[SuiteResult]:
-    return [run_suite(name, cases=cases, seed=seed) for name in SUITES]

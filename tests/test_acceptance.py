@@ -34,10 +34,10 @@ from smc2.smc2 import (
     run_smc2,
 )
 from smc2.ssm import (
+    LinearGaussianModel,
     SIRConfig,
     SIRModel,
     kalman_loglik,
-    lg_model,
     simulate,
     simulate_sir,
 )
@@ -195,7 +195,7 @@ def test_criterion_03_communication_round_bound():
 def test_criterion_04_filter_matches_kalman():
     """Linear-Gaussian likelihoods against the exact recursion, 200 runs."""
     start = time.perf_counter()
-    model = lg_model(0.9, 1.0, 1.0)
+    model = LinearGaussianModel(0.9, 1.0, 1.0)
     dataset = simulate(model, np.array([0.9]), n_steps=20, seed=404)
     exact = kalman_loglik(dataset.y, 0.9, 1.0, 1.0)
     config = PFConfig(n_particles=2000)

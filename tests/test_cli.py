@@ -101,7 +101,27 @@ class TestUsageErrors:
         assert main(["frobnicate"]) == 1
 
     def test_unknown_flag(self):
-        assert main(["smc2", "--wat", "1"]) == 1
+        for argv in (["smc2", "--wat", "1"],
+                     ["smc2", "--model", "sir"],
+                     ["pmcmc", "--p", "2"],
+                     ["pmcmc", "--n", "4", "--k", "2", "--nx", "20",
+                      "--lkernel", "optimal"]):
+            assert main(argv) == 1, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["smc2", "--nx", "1"],
+        ["smc2", "--n", "1"],
+        ["smc2", "--n", "4", "--p", "8"],
+        ["smc2", "--sigma-scale", "0"],
+        ["smc2", "--sigma-scale", "-0.1"],
+        ["pmcmc", "--sigma-scale", "0"],
+        ["pmcmc", "--nx", "1"],
+        ["convergence", "--n", "4", "--p", "8", "--out", "unused"],
+        ["benchmark", "--n", "4,8", "--p", "8", "--out", "unused"],
+    ])
+    def test_size_out_of_range(self, argv, capsys):
+        assert main(argv) == 1
+        assert "must" in capsys.readouterr().err
 
     def test_n_must_be_power_of_two(self, capsys):
         assert main(["smc2", "--n", "1023"]) == 1

@@ -19,7 +19,6 @@ from smc2.ssm import (
     SIRModel,
     SSMDefinition,
     kalman_loglik,
-    lg_model,
     simulate,
     simulate_sir,
 )
@@ -232,7 +231,7 @@ class TestRunPF:
         assert out == pytest.approx(7 * np.log(0.3), abs=1e-12)
 
     def test_accepts_dataset_wrapper(self):
-        model = lg_model(0.9, 1.0, 1.0)
+        model = LinearGaussianModel(0.9, 1.0, 1.0)
         data = simulate(model, np.array([0.9]), n_steps=12, seed=3)
         cfg = PFConfig(n_particles=128)
         a = run_pf(model, data, np.array([0.9]), cfg, np.random.default_rng(9))
@@ -240,7 +239,7 @@ class TestRunPF:
         assert a == b
 
     def test_matches_kalman_likelihood(self):
-        model = lg_model(0.9, 1.0, 1.0)
+        model = LinearGaussianModel(0.9, 1.0, 1.0)
         data = simulate(model, np.array([0.9]), n_steps=20, seed=101)
         oracle = kalman_loglik(data.y, 0.9, 1.0, 1.0)
         cfg = PFConfig(n_particles=2000)
@@ -338,7 +337,7 @@ class TestInvariants:
         assert triggered >= 5
 
     def test_unbiasedness_ratio(self):
-        model = lg_model(0.9, 1.0, 1.0)
+        model = LinearGaussianModel(0.9, 1.0, 1.0)
         data = simulate(model, np.array([0.9]), n_steps=20, seed=77)
         oracle = kalman_loglik(data.y, 0.9, 1.0, 1.0)
         cfg = PFConfig(n_particles=2000)
@@ -351,7 +350,7 @@ class TestInvariants:
         assert 0.9 <= ratio <= 1.1
 
     def test_variance_shrinks_with_more_particles(self):
-        model = lg_model(0.9, 1.0, 1.0)
+        model = LinearGaussianModel(0.9, 1.0, 1.0)
         variances = {50: [], 200: [], 1000: []}
         for d in range(3):
             data = simulate(model, np.array([0.9]), n_steps=10, seed=500 + d)

@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from smc2.comms import spawn_group
-from smc2.numerics import normalized_from_log
 from smc2.resample import (
     parallel_redistribute,
     reset_weights,
-    rotational_nearly_sort,
-    rotational_split,
     sequential_redistribute,
-    shift_ledger,
     systematic_choice,
 )
 
@@ -44,35 +40,6 @@ def run_choice(size, weights, u):
     return np.concatenate(spawn_group(size, worker))
 
 
-def run_nearly_sort(size, values, ncopies):
-    n = values.shape[0] // size
-
-    def worker(comm, _seed):
-        lo = comm.rank * n
-        return rotational_nearly_sort(
-            comm, values[lo : lo + n], ncopies[lo : lo + n]
-        )
-
-    parts = spawn_group(size, worker)
-    vals = np.concatenate([p[0] for p in parts])
-    nc = np.concatenate([p[1] for p in parts])
-    return vals, nc
-
-
-def run_split(size, values, ncopies):
-    n = values.shape[0] // size
-
-    def worker(comm, _seed):
-        lo = comm.rank * n
-        return rotational_split(comm, values[lo : lo + n], ncopies[lo : lo + n])
-
-    parts = spawn_group(size, worker)
-    vals = np.concatenate([p[0] for p in parts])
-    nc = np.concatenate([p[1] for p in parts])
-    per_rank_sums = [int(p[1].sum()) for p in parts]
-    return vals, nc, per_rank_sums
-
-
 def run_redistribute(size, values, ncopies, debug=False):
     n = values.shape[0] // size
 
@@ -89,37 +56,22 @@ def run_redistribute(size, values, ncopies, debug=False):
     return out, [p[1] for p in parts]
 
 
+def holdings_by_round(logs):
+    """Every rank's debug_log as one sorted list of (rank, i, ncopies) per
+    transport round, rounds in order."""
+    rounds = {}
+    for log in logs:
+        for line in log:
+            rnd, rank, pos, count = (int(field) for field in line.split(","))
+            rounds.setdefault(rnd, []).append((rank, pos, count))
+    return [sorted(rounds[rnd]) for rnd in sorted(rounds)]
+
+
 def random_copy_counts(n, rng):
     """Valid copy counts (non-negative, summing to n) with varied shapes."""
     w = rng.uniform(size=n)
     w /= w.sum()
     return choice_oracle(w, rng.uniform())
-
-
-class TestShiftLedger:
-    def test_frozen_pack_example(self):
-        ledger = shift_ledger(np.array([0, 2, 0, 2]))
-        np.testing.assert_array_equal(ledger.shifts, [0, 1, 1, 2])
-        np.testing.assert_array_equal(ledger.csum, [0, 2, 2, 4])
-
-    def test_frozen_split_bounds(self):
-        ledger = shift_ledger(np.array([3, 1, 0, 0]))
-        np.testing.assert_array_equal(ledger.min_shifts, [0, 2, 0, 0])
-        np.testing.assert_array_equal(ledger.max_shifts, [2, 2, 0, 0])
-
-    def test_shifts_count_zeros_below(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            nc = random_copy_counts(16, rng)
-            ledger = shift_ledger(nc)
-            brute = [int(np.sum(nc[:i] == 0)) for i in range(16)]
-            np.testing.assert_array_equal(ledger.shifts, brute)
-            assert np.all(np.diff(ledger.csum) >= 0)
-            assert ledger.csum[-1] == 16
-
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            shift_ledger(np.array([1, -1, 2]))
 
 
 class TestSystematicChoice:
@@ -248,88 +200,123 @@ class TestSequentialRedistribute:
 
 
 class TestRotationalNearlySort:
+    """The packing phase of `parallel_redistribute`: its first log2(P)
+    transport rounds move every survivor to the low global indices in
+    order, read back through `debug_log`."""
+
     def test_already_packed_unchanged(self):
         vals = np.array([1.0, 2.0, 3.0, 4.0])
-        out_vals, out_nc = run_nearly_sort(2, vals, np.array([2, 2, 0, 0]))
-        np.testing.assert_array_equal(out_nc, [2, 2, 0, 0])
-        np.testing.assert_array_equal(out_vals[:2], [1.0, 2.0])
+        out, logs = run_redistribute(2, vals, np.array([2, 2, 0, 0]), debug=True)
+        assert holdings_by_round(logs)[0] == [(0, 0, 2), (0, 1, 2)]
+        np.testing.assert_array_equal(out, [1.0, 1.0, 2.0, 2.0])
 
     def test_frozen_example(self):
-        vals = np.array([1.0, 2.0, 3.0, 4.0])
+        """[0, 2, 0, 2] packs to [2, 2, 0, 0], then splits one run per block.
+
+        The first log2(P) rounds pack the survivors, the last log2(P)
+        split them; the holdings are the hand-worked rotations.
+        """
         nc = np.array([0, 2, 0, 2])
+        holdings = {
+            1: [],
+            2: [[(0, 0, 2), (0, 1, 2)],
+                [(0, 0, 2), (1, 2, 2)]],
+            4: [[(0, 0, 2), (3, 1, 2)],
+                [(0, 0, 2), (1, 1, 2)],
+                [(0, 0, 1), (0, 1, 1), (1, 2, 1), (3, 3, 1)],
+                [(0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)]],
+        }
+        vals = np.array([1.0, 2.0, 3.0, 4.0])
         for size in WORKER_COUNTS:
-            out_vals, out_nc = run_nearly_sort(size, vals, nc)
-            np.testing.assert_array_equal(out_nc, [2, 2, 0, 0])
-            np.testing.assert_array_equal(out_vals[:2], [2.0, 4.0])
+            out, logs = run_redistribute(size, vals, nc, debug=True)
+            np.testing.assert_array_equal(out, [2.0, 2.0, 4.0, 4.0])
+            assert holdings_by_round(logs) == holdings[size], size
 
     def test_matches_stable_partition_oracle(self):
+        """After packing, survivor j sits at index j with its count."""
         rng = np.random.default_rng(53)
         for n in (8, 16, 64):
-            for size in (1, 2, 4, 8):
+            for size in (2, 4, 8):
+                stages = size.bit_length() - 1
+                block = n // size
                 for _ in range(3):
                     nc = random_copy_counts(n, rng)
                     vals = rng.normal(size=n)
-                    out_vals, out_nc = run_nearly_sort(size, vals, nc)
-                    surv = nc > 0
-                    m = int(surv.sum())
-                    np.testing.assert_array_equal(out_vals[:m], vals[surv])
-                    np.testing.assert_array_equal(out_nc[:m], nc[surv])
-                    np.testing.assert_array_equal(out_nc[m:], 0)
+                    out, logs = run_redistribute(size, vals, nc, debug=True)
+                    rounds = holdings_by_round(logs)
+                    assert len(rounds) == 2 * stages
+                    packed = nc[nc > 0]
+                    assert rounds[stages - 1] == [
+                        (j // block, j, int(c)) for j, c in enumerate(packed)
+                    ]
+                    np.testing.assert_array_equal(
+                        out, sequential_redistribute(vals, nc)
+                    )
 
     def test_matrix_rows_travel_together(self):
+        """Two-column rows take the same rounds as 1-D values and land whole."""
         rng = np.random.default_rng(59)
-        nc = random_copy_counts(16, rng)
-        vals = np.column_stack([np.arange(16.0), np.arange(16.0) ** 2])
-        out_vals, out_nc = run_nearly_sort(4, vals, nc)
-        m = int(np.sum(nc > 0))
-        np.testing.assert_array_equal(out_vals[:m, 1], out_vals[:m, 0] ** 2)
+        for nc in (np.array([0, 2, 0, 2]), random_copy_counts(16, rng)):
+            n = nc.shape[0]
+            vals = np.arange(float(n))
+            _, flat_logs = run_redistribute(4, vals, nc, debug=True)
+            matrix = np.column_stack([vals, vals**2])
+            out, logs = run_redistribute(4, matrix, nc, debug=True)
+            assert holdings_by_round(logs) == holdings_by_round(flat_logs)
+            np.testing.assert_array_equal(out[:, 1], out[:, 0] ** 2)
+            np.testing.assert_array_equal(out, sequential_redistribute(matrix, nc))
 
 
 class TestRotationalSplit:
+    """The balancing phase of `parallel_redistribute`: its last log2(P)
+    transport rounds leave every block N/P copies in run-start layout."""
+
     def test_identity_when_balanced(self):
         vals = np.array([1.0, 2.0, 3.0, 4.0])
-        out_vals, out_nc, sums = run_split(2, vals, np.array([1, 1, 1, 1]))
-        np.testing.assert_array_equal(out_nc, [1, 1, 1, 1])
-        np.testing.assert_array_equal(out_vals, vals)
-        assert sums == [2, 2]
+        out, logs = run_redistribute(2, vals, np.array([1, 1, 1, 1]), debug=True)
+        assert holdings_by_round(logs)[-1] == [
+            (0, 0, 1), (0, 1, 1), (1, 2, 1), (1, 3, 1)
+        ]
+        np.testing.assert_array_equal(out, vals)
 
     def test_frozen_boundary_split(self):
+        """An already packed [3, 1, 0, 0] at P = 2: the first run crosses
+        the block boundary, so rank 0 keeps two copies and rank 1 gets one
+        plus the second run."""
         vals = np.array([5.0, 6.0, 0.0, 0.0])
-        out_vals, out_nc, sums = run_split(2, vals, np.array([3, 1, 0, 0]))
-        np.testing.assert_array_equal(out_nc, [2, 0, 1, 1])
-        assert out_vals[0] == 5.0
-        np.testing.assert_array_equal(out_vals[2:], [5.0, 6.0])
-        assert sums == [2, 2]
+        out, logs = run_redistribute(2, vals, np.array([3, 1, 0, 0]), debug=True)
+        assert holdings_by_round(logs) == [
+            [(0, 0, 3), (0, 1, 1)],
+            [(0, 0, 2), (1, 2, 1), (1, 3, 1)],
+        ]
+        np.testing.assert_array_equal(out, [5.0, 5.0, 5.0, 6.0])
 
     def test_balance_shape_and_oracle(self):
+        """After the split, each block holds N/P copies in run-start
+        layout, and expanding them matches the sequential oracle."""
         rng = np.random.default_rng(61)
         for n in (8, 16, 64):
-            for size in (1, 2, 4, 8):
+            for size in (2, 4, 8):
+                block = n // size
                 for _ in range(3):
                     nc = random_copy_counts(n, rng)
                     vals = rng.normal(size=n)
-                    packed_vals, packed_nc = run_nearly_sort(1, vals, nc)
-                    out_vals, out_nc, sums = run_split(size, packed_vals, packed_nc)
-                    assert sums == [n // size] * size
-                    # Run-start layout: a count c is followed by c-1 zeros
-                    # within its rank block.
-                    block = n // size
+                    out, logs = run_redistribute(size, vals, nc, debug=True)
+                    split = np.zeros(n, dtype=np.int64)
+                    for rank, pos, count in holdings_by_round(logs)[-1]:
+                        assert rank == pos // block
+                        split[pos] = count
                     for r in range(size):
+                        counts = split[r * block:(r + 1) * block]
+                        assert counts.sum() == block
                         j = 0
                         while j < block:
-                            c = int(out_nc[r * block + j])
-                            assert c > 0
-                            assert np.all(out_nc[r * block + j + 1 : r * block + j + c] == 0)
-                            j += c
-                    expanded = np.repeat(out_vals, out_nc)
+                            assert counts[j] > 0
+                            assert np.all(counts[j + 1:j + counts[j]] == 0)
+                            j += counts[j]
                     np.testing.assert_array_equal(
-                        expanded, sequential_redistribute(vals, nc)
+                        out, sequential_redistribute(vals, nc)
                     )
-
-    def test_rejects_unsorted_input(self):
-        vals = np.arange(4.0)
-        with pytest.raises(ValueError):
-            run_split(2, vals, np.array([0, 2, 1, 1]))
 
 
 class TestParallelRedistribute:
@@ -413,7 +400,8 @@ class TestResetWeights:
         lw = np.log(np.array([0.4, 0.3, 0.2, 0.1])) + 2.5
         total = float(np.log(np.sum(np.exp(lw))))
         out = reset_weights(lw, 4, total)
-        w = normalized_from_log(out)
+        w = np.exp(out - np.max(out))
+        w /= np.sum(w)
         np.testing.assert_array_equal(w, np.full(4, 0.25))
         assert 1.0 / np.sum(w**2) == 4.0
 

@@ -95,11 +95,10 @@ def normalize_on_group(size, log_weights):
     return normalized, totals[0]
 
 
-def fit_on_group(size, theta_prev, theta, weights=None):
+def fit_on_group(size, theta_prev, theta):
     def fn(comm):
-        w = None if weights is None else split_rows(weights, size, comm.rank)
         return fit_gaussian_joint(comm, split_rows(theta_prev, size, comm.rank),
-                                  split_rows(theta, size, comm.rank), w)
+                                  split_rows(theta, size, comm.rank))
     return on_group(size, fn)[0]
 
 
@@ -202,18 +201,20 @@ class TestEvaluateTarget:
                 return super().sample_initial(theta, n, rng)
 
         counting = Counting(model.config)
+        opened = []
         lp, ll = evaluate_target(counting, np.array([2.0, 1.0, 1.0]),
                                  np.array([1.2, 0.3]), tiny_pf(),
-                                 np.random.default_rng(0))
+                                 lambda: opened.append(1))
         assert lp == -np.inf
         assert ll == -np.inf
         assert calls == []
+        assert opened == []
 
     def test_in_support_runs_filter(self):
         model = SIRModel(SIRConfig(n_pop=100, i0=1, n_steps=3))
         dataset = simulate_sir(model.config, (0.85, 0.2), seed=5)
         lp, ll = evaluate_target(model, dataset, np.array([0.85, 0.2]),
-                                 tiny_pf(), np.random.default_rng(0))
+                                 tiny_pf(), lambda: np.random.default_rng(0))
         assert lp == 0.0
         assert np.isfinite(ll)
 
@@ -221,8 +222,22 @@ class TestEvaluateTarget:
         model = SIRModel(SIRConfig(n_pop=100, i0=1, n_steps=3))
         dataset = simulate_sir(model.config, (0.85, 0.2), seed=5)
         out = [evaluate_target(model, dataset, np.array([0.5, 0.3]), tiny_pf(),
-                               np.random.default_rng(42))[1] for _ in range(2)]
+                               lambda: np.random.default_rng(42))[1] for _ in range(2)]
         assert out[0] == out[1]
+
+    def test_injected_likelihood_replaces_filter(self):
+        model = SIRModel(SIRConfig(n_pop=100, i0=1, n_steps=3))
+        seen = []
+
+        def loglik(theta, rng):
+            seen.append(rng)
+            return theta[0] - 1.0
+
+        stream = np.random.default_rng(7)
+        lp, ll = evaluate_target(model, None, np.array([0.5, 0.3]), tiny_pf(),
+                                 lambda: stream, loglik)
+        assert (lp, ll) == (0.0, -0.5)
+        assert seen == [stream]
 
 
 class TestFitGaussianJoint:
@@ -262,16 +277,6 @@ class TestFitGaussianJoint:
             np.testing.assert_array_equal(fit.mean_curr, fits[0].mean_curr)
             np.testing.assert_array_equal(fit.cov_prev_curr, fits[0].cov_prev_curr)
             np.testing.assert_array_equal(fit.cov_curr_curr, fits[0].cov_curr_curr)
-
-    def test_uniform_weights_match_unweighted(self):
-        rng = np.random.default_rng(10)
-        theta_prev = rng.normal(size=(8, 1))
-        theta = rng.normal(size=(8, 1))
-        plain = fit_on_group(1, theta_prev, theta)
-        weighted = fit_on_group(1, theta_prev, theta, weights=np.full(8, 1.0 / 8))
-        np.testing.assert_allclose(weighted.mean_prev, plain.mean_prev, rtol=1e-14)
-        np.testing.assert_allclose(weighted.cov_prev_prev, plain.cov_prev_prev,
-                                   rtol=1e-13, atol=1e-15)
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError, match="two samples"):
@@ -411,8 +416,9 @@ class TestWeightUpdate:
 
 class TestNormalize:
     def test_three_weight_example(self):
-        normalized, log_total = normalize_on_group(1, np.array([np.log(2.0), 0.0, 0.0]))
-        np.testing.assert_allclose(normalized, [0.5, 0.25, 0.25], atol=1e-15)
+        lw = np.array([np.log(2.0), 0.0, 0.0, -np.inf])
+        normalized, log_total = normalize_on_group(1, lw)
+        np.testing.assert_allclose(normalized, [0.5, 0.25, 0.25, 0.0], atol=1e-15)
         assert log_total == pytest.approx(np.log(4.0), rel=1e-14)
 
     def test_flat_weights(self):
@@ -667,16 +673,6 @@ class TestRunSMC2:
                              loglik_fn=conjugate_loglik)[0]
         assert abs(result.recycled_estimate[0] - POST_MEAN) < 0.1
         assert all(np.isfinite(rec.l_k) for rec in result.iterations)
-
-    def test_weighted_lkernel_fit_variant_runs(self):
-        config = SMC2Config(n_samples=256, n_iterations=4,
-                            proposal_cov=np.array([[0.25]]),
-                            pf_config=tiny_pf(),
-                            lkernel="approx_optimal_gaussian",
-                            weighted_lkernel_fit=True)
-        result = run_sampler(1, config, GaussianToyModel(), None, 779,
-                             loglik_fn=conjugate_loglik)[0]
-        assert abs(result.recycled_estimate[0] - POST_MEAN) < 0.15
 
     def test_deterministic_given_seed(self):
         config = SMC2Config(n_samples=64, n_iterations=3,

@@ -11,7 +11,6 @@ from smc2.ssm import (
     SIRConfig,
     SIRModel,
     kalman_loglik,
-    lg_model,
     read_dataset,
     simulate,
     simulate_sir,
@@ -133,7 +132,7 @@ class TestPrior:
 
 class TestLinearGaussian:
     def test_observation_density_matches_norm(self):
-        model = lg_model(0.9, 1.0, 1.0)
+        model = LinearGaussianModel(0.9, 1.0, 1.0)
         states = np.array([[0.0], [1.5], [-2.0]])
         out = model.observation_log_density(0.7, states, None)
         ref = stats.norm.logpdf(0.7, loc=states[:, 0], scale=1.0)
@@ -189,7 +188,7 @@ class TestSimulate:
         assert np.all(ds.y >= 0)
 
     def test_lg_simulation_runs(self):
-        ds = simulate(lg_model(0.9, 1.0, 1.0), np.array([0.9]), 20, seed=14)
+        ds = simulate(LinearGaussianModel(0.9, 1.0, 1.0), np.array([0.9]), 20, seed=14)
         assert ds.y.shape == (20,)
         assert np.all(np.isfinite(ds.y))
 
