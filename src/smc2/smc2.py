@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from . import rng as streams
 from .comms import Communicator, GlobalSlice, GroupAborted
@@ -152,14 +152,13 @@ class SMC2Result:
 # Gaussian densities.
 
 
-def gaussian_log_density(x, mean, cov) -> float:
+def gaussian_log_density(x, mean, cov) -> float | np.ndarray:
     """log N(x; mean, cov), jittering the covariance only if Cholesky fails.
 
-    The fallback is deliberately not applied up front: a well-conditioned
-    covariance must produce the exact unperturbed density.
+    x and mean broadcast over leading axes.  The fallback is deliberately
+    not applied up front: a well-conditioned covariance must produce the
+    exact unperturbed density.
     """
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     try:
         chol = np.linalg.cholesky(cov)
@@ -174,11 +173,19 @@ def gaussian_log_density(x, mean, cov) -> float:
     return _gaussian_log_density_chol(x, mean, chol)
 
 
-def _gaussian_log_density_chol(x, mean, chol) -> float:
+def _gaussian_log_density_chol(x, mean, chol) -> float | np.ndarray:
+    """log N(x; mean, chol chol^T) over leading axes; one point gives a float."""
+    dev = np.asarray(x, dtype=float) - mean
     d = chol.shape[0]
-    alpha = solve_triangular(chol, x - mean, lower=True)
+    alpha = np.empty_like(dev)
+    # Forward substitution without BLAS, whose kernel follows the operand
+    # shape: a row's density must not depend on how many rows share the call.
+    for j in range(d):
+        done = np.sum(alpha[..., :j] * chol[j, :j], axis=-1)
+        alpha[..., j] = (dev[..., j] - done) / chol[j, j]
     log_det_half = float(np.sum(np.log(np.diag(chol))))
-    return float(-0.5 * d * _LOG_2PI - log_det_half - 0.5 * np.dot(alpha, alpha))
+    out = -0.5 * d * _LOG_2PI - log_det_half - 0.5 * np.sum(alpha * alpha, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +287,16 @@ def fit_gaussian_joint(comm: Communicator, theta_prev, theta) -> GaussianJointFi
     )
 
 
-def lkernel_log_density(theta_prev, theta_curr, fit: GaussianJointFit) -> float:
+def lkernel_log_density(theta_prev, theta_curr,
+                        fit: GaussianJointFit) -> float | np.ndarray:
     """Gaussian L-kernel density log L(theta_prev | theta_curr).
 
-    Conditions the fitted joint on theta_curr.  The curr/curr block is
-    regularized before inversion; the conditional covariance is used as-is
-    unless its own factorization fails, so a zero cross-covariance yields
-    the unperturbed marginal density.
+    Conditions the fitted joint on theta_curr, broadcasting over leading
+    axes: (n, D) blocks give n densities, one (D,) pair a float.  The
+    curr/curr block is regularized before inversion; the conditional
+    covariance is used as-is unless its own factorization fails, so a zero
+    cross-covariance yields the unperturbed marginal density.
     """
-    theta_prev = np.asarray(theta_prev, dtype=float)
-    theta_curr = np.asarray(theta_curr, dtype=float)
     dim = fit.mean_prev.shape[0]
     s22 = fit.cov_curr_curr + _regularization(fit.cov_curr_curr) * np.eye(dim)
     try:
@@ -298,12 +305,10 @@ def lkernel_log_density(theta_prev, theta_curr, fit: GaussianJointFit) -> float:
         raise RuntimeError(
             "regularized curr/curr covariance is not positive definite"
         ) from exc
-    mean_cond = fit.mean_prev + fit.cov_prev_curr @ cho_solve(
-        (l22, True), theta_curr - fit.mean_curr
-    )
-    cov_cond = fit.cov_prev_prev - fit.cov_prev_curr @ cho_solve(
-        (l22, True), fit.cov_prev_curr.T
-    )
+    solved = cho_solve((l22, True), fit.cov_prev_curr.T)  # transposed gain C_pc S22^-1
+    cov_cond = fit.cov_prev_prev - fit.cov_prev_curr @ solved
+    dev = np.asarray(theta_curr, dtype=float) - fit.mean_curr
+    mean_cond = fit.mean_prev + np.sum(solved.T * dev[..., None, :], axis=-1)  # no BLAS
     return gaussian_log_density(theta_prev, mean_cond, cov_cond)
 
 
@@ -471,16 +476,9 @@ def run_smc2(config: SMC2Config, model, dataset, comm: Communicator,
                 log_l = log_q = None
                 if use_gaussian_kernel:
                     fit = fit_gaussian_joint(comm, theta_old, theta_new)
-                    log_l = np.array([
-                        lkernel_log_density(theta_old[j], theta_new[j], fit)
-                        for j in range(n_local)
-                    ])
-                    log_q = np.array([
-                        _gaussian_log_density_chol(
-                            theta_new[j], theta_old[j], config.proposal_chol
-                        )
-                        for j in range(n_local)
-                    ])
+                    log_l = lkernel_log_density(theta_old, theta_new, fit)
+                    log_q = _gaussian_log_density_chol(theta_new, theta_old,
+                                                       config.proposal_chol)
                 pop = Population(
                     theta=theta_new, log_prior=lp_new, log_lik=ll_new,
                     log_weights=weight_update(

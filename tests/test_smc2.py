@@ -15,6 +15,7 @@ from smc2.smc2 import (
     estimate,
     evaluate_target,
     fit_gaussian_joint,
+    _gaussian_log_density_chol,
     gaussian_log_density,
     init_population,
     lkernel_log_density,
@@ -68,6 +69,29 @@ POST_SD = np.sqrt(0.5)
 
 def conjugate_loglik(theta, rng) -> float:
     return float(stats.norm.logpdf(Y_OBS, loc=float(theta[0]), scale=1.0))
+
+
+class GaussianToyModel2D(GaussianToyModel):
+    """Standard-normal prior on a 2-D parameter; pairs with plane_loglik."""
+
+    param_dim = 2
+    param_names = ("mu0", "mu1")
+
+    def log_prior(self, theta) -> float:
+        th = np.asarray(theta, dtype=float)
+        return float(-0.5 * (2.0 * np.log(2.0 * np.pi) + th @ th))
+
+    def sample_prior(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(size=2)
+
+
+Y_PLANE = np.array([[0.4, -0.3], [0.9, 0.1], [0.2, -0.8]])
+
+
+def plane_loglik(theta, rng) -> float:
+    """Unit-variance observations of theta, up to a constant."""
+    dev = Y_PLANE - np.asarray(theta, dtype=float)
+    return float(-0.5 * np.sum(dev * dev))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +371,55 @@ class TestLKernelDensity:
         fit = make_fit([0.0], [0.0], [[1e-6]], [[10.0]], [[1.0]])
         with pytest.raises(RuntimeError, match="positive definite"):
             lkernel_log_density([0.0], [1.0], fit)
+        with pytest.raises(RuntimeError, match="positive definite"):
+            lkernel_log_density(np.zeros((5, 1)), np.ones((5, 1)), fit)
+
+
+def random_fit(rng, d) -> GaussianJointFit:
+    a = rng.normal(size=(2 * d, 2 * d))
+    joint = a @ a.T + 0.2 * np.eye(2 * d)
+    return make_fit(rng.normal(size=d), rng.normal(size=d),
+                    joint[:d, :d], joint[:d, d:], joint[d:, d:])
+
+
+class TestDensityBlocks:
+    """An (n, d) block gives n densities, each bitwise its one-point value."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 512])
+    def test_rows_match_one_point_calls(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        fit = random_fit(rng, d)
+        a = rng.normal(size=(d, d))
+        chol = np.linalg.cholesky(a @ a.T + 0.5 * np.eye(d))
+        prev = rng.normal(size=(n, d))
+        curr = rng.normal(size=(n, d))
+        log_l = lkernel_log_density(prev, curr, fit)
+        log_q = _gaussian_log_density_chol(curr, prev, chol)
+        assert log_l.shape == log_q.shape == (n,)
+        for j in range(n):
+            one_l = lkernel_log_density(prev[j], curr[j], fit)
+            one_q = _gaussian_log_density_chol(curr[j], prev[j], chol)
+            assert type(one_l) is float and type(one_q) is float
+            assert log_l[j] == one_l
+            assert log_q[j] == one_q
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_jittered_conditional_matches_jittered_marginal(self, d):
+        # A rank-one prev/prev block with no coupling: the conditional
+        # covariance is singular, so its factorization needs the jitter.
+        rng = np.random.default_rng(d)
+        cov_pp = np.ones((d, d))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov_pp)
+        fit = make_fit(rng.normal(size=d), rng.normal(size=d), cov_pp,
+                       np.zeros((d, d)), np.eye(d))
+        jittered = cov_pp + 1e-8 * np.trace(cov_pp) / d * np.eye(d)
+        prev = rng.normal(size=(7, d))
+        got = lkernel_log_density(prev, rng.normal(size=(7, d)), fit)
+        want = gaussian_log_density(prev, fit.mean_prev, jittered)
+        np.testing.assert_array_equal(got, want)
+        assert np.all(np.isfinite(got))
 
 
 class TestWeightUpdate:
@@ -710,6 +783,32 @@ class TestRunSMC2:
                     assert rec.logz_increment == pytest.approx(
                         ref.logz_increment, rel=1e-12, abs=1e-12)
 
+    def test_gaussian_lkernel_run_invariant_to_worker_count(self):
+        """P in {1, 2, 4, 8}, down to one sample per rank: identical bytes.
+
+        A rank's L-kernel densities must not depend on how many rows share
+        its block, so no per-row arithmetic may go through BLAS, whose
+        kernel choice follows the operand shape.
+        """
+        config = SMC2Config(n_samples=8, n_iterations=5,
+                            proposal_cov=0.25 * np.eye(2), pf_config=tiny_pf(),
+                            lkernel="approx_optimal_gaussian")
+
+        def outputs(result):
+            parts = [result.recycled_estimate, result.recycling_coefficients]
+            for rec in result.iterations:
+                parts += [np.array([rec.ess, rec.l_k, rec.logz_increment,
+                                    rec.resampled]), rec.estimate]
+            return [np.asarray(p).tobytes() for p in parts]
+
+        runs = {p: run_sampler(p, config, GaussianToyModel2D(), None, 606,
+                               loglik_fn=plane_loglik) for p in (1, 2, 4, 8)}
+        want = outputs(runs[1][0])
+        assert any(rec.resampled for rec in runs[1][0].iterations)
+        for p in (2, 4, 8):
+            for result in runs[p]:
+                assert outputs(result) == want
+
     def test_forced_resampling_every_iteration(self):
         config = SMC2Config(n_samples=64, n_iterations=4,
                             proposal_cov=np.array([[0.25]]),
@@ -772,3 +871,46 @@ class TestRunSMC2:
         result = run_sampler(1, config, Nameless(), None, 8,
                              loglik_fn=lambda th, rng: 0.0)[0]
         assert result.param_names == ("theta0",)
+
+
+# (ess, l_k, resampled, estimate, logz_increment) per iteration, as
+# float.hex(), of a 2-D Gaussian-kernel run: N=64, K=5, P=2, root seed 1.
+GAUSS_KERNEL_PINS = (
+    ("0x1.953e68a735bb1p+4", "0x1.953e68a735bb2p+4", True,
+     ("0x1.8fcc5e8a09af9p-2", "-0x1.71a385cb5b0a1p-3"), "-0x1.c16e7bfbd0cf6p+0"),
+    ("0x1.688c6ea6c17fbp+5", "0x1.688c6ea6c17f9p+5", False,
+     ("0x1.bb76354dab024p-2", "-0x1.76e7f5f37c7c5p-3"), "0x1.302628c4ce520p-2"),
+    ("0x1.c6ca10ff48c3ep+4", "0x1.c6ca10ff48c3ep+4", True,
+     ("0x1.20cb88ca1a9acp-2", "-0x1.28f2a06aeb9b8p-2"), "0x1.97456a5feb020p-4"),
+    ("0x1.67dcc7b88ca83p+5", "0x1.67dcc7b88ca83p+5", False,
+     ("0x1.6739186f95fafp-2", "-0x1.8ff728ae870fep-3"), "0x1.fccc7926e1b20p-3"),
+    ("0x1.4677cd42da58cp+4", "0x1.4677cd42da58ap+4", True,
+     ("0x1.537477fd4d4d5p-2", "-0x1.5ebb0c5f1e0f8p-3"), "0x1.4768ccc1cfa00p-2"),
+)
+GAUSS_KERNEL_ROUNDS = 53
+
+
+class TestFrozenGaussianKernelRun:
+    def test_pinned_values(self):
+        config = SMC2Config(n_samples=64, n_iterations=5,
+                            proposal_cov=0.25 * np.eye(2), pf_config=tiny_pf(),
+                            lkernel="approx_optimal_gaussian")
+
+        def worker(comm, root_seed):
+            result = run_smc2(config, GaussianToyModel2D(), None, comm, root_seed,
+                              loglik_fn=plane_loglik)
+            return result, comm.read_round_counter()
+
+        for result, rounds in spawn_group(2, worker, 1):
+            assert rounds == GAUSS_KERNEL_ROUNDS
+            assert len(result.iterations) == len(GAUSS_KERNEL_PINS)
+            for rec, (ess_k, l_k, resampled, est, logz) in zip(result.iterations,
+                                                               GAUSS_KERNEL_PINS):
+                assert rec.resampled == resampled
+                assert rec.ess == pytest.approx(float.fromhex(ess_k), rel=1e-12)
+                assert rec.l_k == pytest.approx(float.fromhex(l_k), rel=1e-12)
+                np.testing.assert_allclose(rec.estimate,
+                                           [float.fromhex(v) for v in est],
+                                           rtol=1e-12, atol=0.0)
+                assert rec.logz_increment == pytest.approx(float.fromhex(logz),
+                                                           rel=1e-12, abs=1e-12)
