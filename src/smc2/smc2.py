@@ -153,23 +153,15 @@ class SMC2Result:
 
 
 def gaussian_log_density(x, mean, cov) -> float | np.ndarray:
-    """log N(x; mean, cov), jittering the covariance only if Cholesky fails.
+    """log N(x; mean, cov); x and mean broadcast over leading axes.
 
-    x and mean broadcast over leading axes.  The fallback is deliberately
-    not applied up front: a well-conditioned covariance must produce the
-    exact unperturbed density.
+    A covariance without a Cholesky factor raises: no jitter is added, so
+    a density is either the exact one or an error.
     """
-    cov = np.asarray(cov, dtype=float)
     try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        eps = _regularization(cov)
-        try:
-            chol = np.linalg.cholesky(cov + eps * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"covariance is not positive definite even after +{eps:g} I"
-            ) from exc
+        chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("covariance is not positive definite") from exc
     return _gaussian_log_density_chol(x, mean, chol)
 
 
@@ -234,11 +226,12 @@ def init_population(config: SMC2Config, model, dataset, comm: Communicator,
     theta = np.empty((n_local, dim))
     log_prior = np.empty(n_local)
     log_lik = np.empty(n_local)
-    for j, g in enumerate(block.global_indices()):
-        g = int(g)
+    idx = block.global_indices()
+    prior_words = streams.seed_words(root_seed, streams.PRIOR_INIT, 1, idx)
+    pf_words = streams.seed_words(root_seed, streams.PARTICLE_FILTER, 1, idx)
+    for j in range(n_local):
         draw = np.asarray(
-            model.sample_prior(streams.stream(root_seed, streams.PRIOR_INIT, k=1, i=g)),
-            dtype=float,
+            model.sample_prior(streams.stream_from_words(prior_words[j])), dtype=float
         )
         if draw.shape != (dim,):
             raise ValueError(
@@ -246,8 +239,7 @@ def init_population(config: SMC2Config, model, dataset, comm: Communicator,
             )
         lp, log_lik[j] = evaluate_target(
             model, dataset, draw, config.pf_config,
-            partial(streams.stream, root_seed, streams.PARTICLE_FILTER, k=1, i=g),
-            loglik_fn,
+            partial(streams.stream_from_words, pf_words[j]), loglik_fn,
         )
         if not np.isfinite(lp):
             raise RuntimeError("prior sampler produced a sample outside its own support")
@@ -294,8 +286,10 @@ def lkernel_log_density(theta_prev, theta_curr,
     Conditions the fitted joint on theta_curr, broadcasting over leading
     axes: (n, D) blocks give n densities, one (D,) pair a float.  The
     curr/curr block is regularized before inversion; the conditional
-    covariance is used as-is unless its own factorization fails, so a zero
-    cross-covariance yields the unperturbed marginal density.
+    covariance is used as-is, so a zero cross-covariance yields the exact
+    marginal density.  A conditional covariance without a Cholesky factor
+    means the population has collapsed onto too few points for the kernel
+    to have a density, and raises.
     """
     dim = fit.mean_prev.shape[0]
     s22 = fit.cov_curr_curr + _regularization(fit.cov_curr_curr) * np.eye(dim)
@@ -309,7 +303,13 @@ def lkernel_log_density(theta_prev, theta_curr,
     cov_cond = fit.cov_prev_prev - fit.cov_prev_curr @ solved
     dev = np.asarray(theta_curr, dtype=float) - fit.mean_curr
     mean_cond = fit.mean_prev + np.sum(solved.T * dev[..., None, :], axis=-1)  # no BLAS
-    return gaussian_log_density(theta_prev, mean_cond, cov_cond)
+    try:
+        return gaussian_log_density(theta_prev, mean_cond, cov_cond)
+    except RuntimeError as exc:
+        raise RuntimeError(
+            "L-kernel conditional covariance is not positive definite: the "
+            "population has collapsed"
+        ) from exc
 
 
 def weight_update(log_weights, log_target_prev, log_target_new,
@@ -446,8 +446,7 @@ def run_smc2(config: SMC2Config, model, dataset, comm: Communicator,
     except Exception as exc:
         raise RuntimeError(f"sampler initialization failed: {exc}") from exc
 
-    block = GlobalSlice.for_rank(n_total, comm.size, comm.rank)
-    global_idx = [int(g) for g in block.global_indices()]
+    global_idx = GlobalSlice.for_rank(n_total, comm.size, comm.rank).global_indices()
     prev_log_total = float(np.log(n_total))
     records: list[IterationRecord] = []
     l_values: list[float] = []
@@ -462,16 +461,15 @@ def run_smc2(config: SMC2Config, model, dataset, comm: Communicator,
                 theta_new = np.empty_like(theta_old)
                 lp_new = np.empty(n_local)
                 ll_new = np.empty(n_local)
-                for j, g in enumerate(global_idx):
-                    theta_new[j] = propose(
-                        theta_old[j], config,
-                        streams.stream(root_seed, streams.PROPOSAL, k=k, i=g),
-                    )
+                prop_words = streams.seed_words(root_seed, streams.PROPOSAL, k, global_idx)
+                pf_words = streams.seed_words(root_seed, streams.PARTICLE_FILTER, k,
+                                              global_idx)
+                for j in range(n_local):
+                    theta_new[j] = propose(theta_old[j], config,
+                                           streams.stream_from_words(prop_words[j]))
                     lp_new[j], ll_new[j] = evaluate_target(
                         model, dataset, theta_new[j], config.pf_config,
-                        partial(streams.stream, root_seed, streams.PARTICLE_FILTER,
-                                k=k, i=g),
-                        loglik_fn,
+                        partial(streams.stream_from_words, pf_words[j]), loglik_fn,
                     )
                 log_l = log_q = None
                 if use_gaussian_kernel:

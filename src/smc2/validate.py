@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng as streams
 from .comms import spawn_group
 from .numerics import log_sum_exp
 from .pf import PFConfig, run_pf
@@ -31,6 +32,7 @@ DEFAULT_CASES = {
     "redistribution": 360,
     "pf": 20,
     "recycling": 120,
+    "streams": 200,
 }
 
 
@@ -323,12 +325,40 @@ def suite_recycling(cases: int, seed: int) -> SuiteResult:
     return SuiteResult("recycling", cases, failures)
 
 
+def suite_streams(cases: int, seed: int) -> SuiteResult:
+    """Block-derived stream seeds against numpy's own SeedSequence, on random keys.
+
+    `rng.seed_words` re-implements SeedSequence's hash; a numpy whose
+    hash differs would silently change every sampler stream, so this
+    compares words and first draws on this install.
+    """
+    failures: list[str] = []
+    for case in range(cases):
+        rng = _case_rng(seed, 0, 1, case)
+        n_words = int(rng.integers(1, 9))
+        root = int.from_bytes(rng.bytes(4 * n_words), "little")
+        tag = int(rng.integers(6))
+        k = int(rng.integers(2**32))
+        idx = rng.integers(2**32, size=4)
+        words = streams.seed_words(root, tag, k, idx)
+        for j, i in enumerate(idx.tolist()):
+            key = f"seed={seed} case={case} key=({root}, {tag}, {k}, {i})"
+            want = np.random.SeedSequence(root, spawn_key=(tag, k, i))
+            if not np.array_equal(words[j], want.generate_state(4, np.uint64)):
+                failures.append(f"{key}: seed words differ from SeedSequence")
+            elif (streams.stream_from_words(words[j]).random(4).tobytes()
+                  != streams.stream(root, tag, k, i).random(4).tobytes()):
+                failures.append(f"{key}: draws differ from rng.stream")
+    return SuiteResult("streams", cases, failures)
+
+
 SUITES = {
     "comms": suite_comms,
     "choice": suite_choice,
     "redistribution": suite_redistribution,
     "pf": suite_pf,
     "recycling": suite_recycling,
+    "streams": suite_streams,
 }
 
 

@@ -405,21 +405,17 @@ class TestDensityBlocks:
             assert log_q[j] == one_q
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_jittered_conditional_matches_jittered_marginal(self, d):
+    def test_singular_conditional_rejected(self, d):
         # A rank-one prev/prev block with no coupling: the conditional
-        # covariance is singular, so its factorization needs the jitter.
+        # covariance is singular, so the kernel has no density.
         rng = np.random.default_rng(d)
         cov_pp = np.ones((d, d))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(cov_pp)
         fit = make_fit(rng.normal(size=d), rng.normal(size=d), cov_pp,
                        np.zeros((d, d)), np.eye(d))
-        jittered = cov_pp + 1e-8 * np.trace(cov_pp) / d * np.eye(d)
-        prev = rng.normal(size=(7, d))
-        got = lkernel_log_density(prev, rng.normal(size=(7, d)), fit)
-        want = gaussian_log_density(prev, fit.mean_prev, jittered)
-        np.testing.assert_array_equal(got, want)
-        assert np.all(np.isfinite(got))
+        with pytest.raises(RuntimeError, match="population has collapsed"):
+            lkernel_log_density(rng.normal(size=(7, d)), rng.normal(size=(7, d)), fit)
 
 
 class TestWeightUpdate:
@@ -837,6 +833,18 @@ class TestRunSMC2:
         with pytest.raises(RuntimeError, match="iteration 1.*degenerate"):
             run_sampler(1, config, GaussianToyModel(), None, 5,
                         loglik_fn=lambda th, rng: float("-inf"))
+
+    def test_collapsed_population_ends_gaussian_lkernel_run(self):
+        """A one-point prior leaves the L-kernel no density at k=2: an error, not +26."""
+        class OnePoint(GaussianToyModel2D):
+            def sample_prior(self, rng):
+                return np.array([0.1, -0.2])
+
+        config = SMC2Config(n_samples=8, n_iterations=3,
+                            proposal_cov=0.25 * np.eye(2), pf_config=tiny_pf(),
+                            lkernel="approx_optimal_gaussian")
+        with pytest.raises(RuntimeError, match="iteration 2: .*population has collapsed"):
+            run_sampler(2, config, OnePoint(), None, 3, loglik_fn=plane_loglik)
 
     def test_diagnostics_file_layout(self, tmp_path):
         config = SMC2Config(n_samples=32, n_iterations=3,
