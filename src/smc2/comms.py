@@ -16,10 +16,9 @@ use, so separate processes running in-process groups at the same time
 share it unless each is started with its own affinity (taskset).  Only the
 "mpi-like" backend spreads ranks over several CPUs.
 
-Every payload crosses rank boundaries as an opaque byte sequence in a
-length-prefixed little-endian format (64-bit floats and integers), so the
-two transports are bit-compatible and a sender can never alias memory held
-by a receiver.
+Every message is one float or integer ndarray, framed as float64 or int64
+little-endian bytes behind a tag and its shape, so the two transports are
+bit-compatible and a sender can never alias memory held by a receiver.
 
 Reductions merge per-rank contributions by pairing ranks at distances
 1, 2, 4, ... (a fixed binary tree), so floating-point results are
@@ -57,128 +56,44 @@ class GroupAborted(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Payload codec: length-prefixed little-endian frames.
+# Payload codec: one array per frame.  A frame is the tag b"f" (float64) or
+# b"i" (int64), a little-endian u64 ndim, one u64 per axis, then the data in
+# C order.
 
-_T_NONE = b"N"
-_T_TRUE = b"T"
-_T_FALSE = b"F"
-_T_INT = b"I"
-_T_FLOAT = b"D"
-_T_STR = b"S"
-_T_BYTES = b"B"
-_T_ARR_F8 = b"f"
-_T_ARR_I8 = b"i"
-_T_LIST = b"L"
-_T_TUPLE = b"U"
-
-_U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
+_DTYPES = {b"f": "<f8", b"i": "<i8"}
 
 
-def pack_payload(obj) -> bytes:
-    """Serialize a payload to bytes.
-
-    Supported: None, bool, int, float, str, bytes, int64/float64 ndarrays,
-    and lists/tuples of supported values.
-    """
-    out = bytearray()
-    _pack_into(out, obj)
-    return bytes(out)
-
-
-def _pack_into(out: bytearray, obj) -> None:
-    # Arrays come first: they make up nearly all traffic.
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            tag, dtype = _T_ARR_F8, "<f8"
-        elif obj.dtype.kind in "iu":
-            tag, dtype = _T_ARR_I8, "<i8"
-        else:
-            raise CommError(f"unsupported array dtype {obj.dtype}")
-        arr = np.ascontiguousarray(obj, dtype=dtype)
-        out += tag
-        out += _U64.pack(arr.ndim)
-        for s in arr.shape:
-            out += _U64.pack(s)
-        out += arr.tobytes()
-    elif obj is None:
-        out += _T_NONE
-    elif isinstance(obj, bool):
-        out += _T_TRUE if obj else _T_FALSE
-    elif isinstance(obj, (int, np.integer)):
-        out += _T_INT
-        out += _I64.pack(int(obj))
-    elif isinstance(obj, (float, np.floating)):
-        out += _T_FLOAT
-        out += _F64.pack(float(obj))
-    elif isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        out += _T_STR
-        out += _U64.pack(len(raw))
-        out += raw
-    elif isinstance(obj, bytes):
-        out += _T_BYTES
-        out += _U64.pack(len(obj))
-        out += obj
-    elif isinstance(obj, (list, tuple)):
-        out += _T_LIST if isinstance(obj, list) else _T_TUPLE
-        out += _U64.pack(len(obj))
-        for item in obj:
-            _pack_into(out, item)
+def pack_payload(arr) -> bytes:
+    """Frame a float or integer ndarray as float64 or int64 bytes."""
+    if not isinstance(arr, np.ndarray):
+        raise CommError(f"payload must be an ndarray, got {type(arr).__name__}")
+    if arr.dtype.kind == "f":
+        tag, dtype = b"f", "<f8"
+    elif arr.dtype.kind in "iu":
+        tag, dtype = b"i", "<i8"
     else:
-        raise CommError(f"unsupported payload type {type(obj).__name__}")
+        raise CommError(f"unsupported array dtype {arr.dtype}")
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    return tag + struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape) + arr.tobytes()
 
 
-def unpack_payload(raw: bytes):
-    """Inverse of pack_payload.  Arrays come back as fresh writable copies."""
-    obj, offset = _unpack_from(raw, 0)
-    if offset != len(raw):
-        raise CommError("trailing bytes in payload")
-    return obj
-
-
-def _unpack_from(raw: bytes, offset: int):
-    tag = raw[offset:offset + 1]
-    offset += 1
-    if tag in (_T_ARR_F8, _T_ARR_I8):
-        (ndim,) = _U64.unpack_from(raw, offset)
-        offset += 8
-        shape = []
-        for _ in range(ndim):
-            (s,) = _U64.unpack_from(raw, offset)
-            offset += 8
-            shape.append(s)
-        dtype = "<f8" if tag == _T_ARR_F8 else "<i8"
-        count = math.prod(shape)
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-        offset += count * 8
-        return arr.reshape(shape).copy(), offset
-    if tag == _T_NONE:
-        return None, offset
-    if tag == _T_TRUE:
-        return True, offset
-    if tag == _T_FALSE:
-        return False, offset
-    if tag == _T_INT:
-        return _I64.unpack_from(raw, offset)[0], offset + 8
-    if tag == _T_FLOAT:
-        return _F64.unpack_from(raw, offset)[0], offset + 8
-    if tag in (_T_STR, _T_BYTES):
-        (n,) = _U64.unpack_from(raw, offset)
-        offset += 8
-        chunk = raw[offset:offset + n]
-        offset += n
-        return (chunk.decode("utf-8") if tag == _T_STR else chunk), offset
-    if tag in (_T_LIST, _T_TUPLE):
-        (n,) = _U64.unpack_from(raw, offset)
-        offset += 8
-        items = []
-        for _ in range(n):
-            item, offset = _unpack_from(raw, offset)
-            items.append(item)
-        return (items if tag == _T_LIST else tuple(items)), offset
-    raise CommError(f"unknown payload tag {tag!r}")
+def unpack_payload(raw: bytes) -> np.ndarray:
+    """Inverse of pack_payload.  The array comes back as a fresh writable copy."""
+    dtype = _DTYPES.get(raw[:1])
+    if dtype is None:
+        raise CommError(f"unknown payload tag {raw[:1]!r}")
+    try:
+        (ndim,) = struct.unpack_from("<Q", raw, 1)
+        shape = struct.unpack_from(f"<{ndim}Q", raw, 9)
+    except struct.error:
+        raise CommError("payload frame is shorter than its header") from None
+    offset = 9 + 8 * ndim
+    count = math.prod(shape)
+    if len(raw) != offset + 8 * count:
+        raise CommError(
+            f"payload frame holds {len(raw)} bytes; its header implies {offset + 8 * count}"
+        )
+    return np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +250,11 @@ class Communicator:
         return prefix
 
     def broadcast(self, root: int, payload):
-        """Send `payload` from `root` to every rank via a binary tree."""
+        """Send the array `payload` from `root` to every rank via a binary tree.
+
+        Every rank, the root included, gets its own float64 or int64 copy;
+        the other ranks' `payload` is ignored.
+        """
         if not (0 <= root < self.size):
             raise CommError(f"broadcast root {root} out of range")
         if self.size == 1:
@@ -354,10 +273,10 @@ class Communicator:
         return current
 
     def exchange_at_distance(self, d: int, outgoing, direction: str = "down"):
-        """Rotate payloads between ranks at distance d in one round.
+        """Rotate arrays between ranks at distance d in one round.
 
-        direction "down": this rank's payload arrives at (rank - d) mod P
-        and the returned payload comes from (rank + d) mod P.  "up" is the
+        direction "down": this rank's array arrives at (rank - d) mod P
+        and the returned array comes from (rank + d) mod P.  "up" is the
         mirror image.  Costs exactly one round.
         """
         if direction not in ("down", "up"):

@@ -27,7 +27,6 @@ from .ssm import Dataset, SSMDefinition
 __all__ = [
     "PFConfig",
     "ParticleCloud",
-    "pf_ess",
     "multinomial_resample",
     "pf_step",
     "run_pf",
@@ -59,7 +58,6 @@ class ParticleCloud:
 
     states: np.ndarray
     log_weights: np.ndarray
-    t: int
 
 
 def _max_log_weight(lw: np.ndarray):
@@ -84,18 +82,6 @@ def _log_sum_and_ess(lw: np.ndarray):
     lse = m + np.log(np.exp(shifted).sum())
     lse_sq = 2.0 * m + np.log(np.exp(2.0 * shifted).sum())
     return lse, float(np.exp(2.0 * lse - lse_sq))
-
-
-def pf_ess(log_weights) -> float:
-    """Effective sample size, 1 / sum of squared normalized weights.
-
-    Computed as exp(2*lse(lw) - lse(2*lw)) so that heavily skewed
-    weights do not underflow.  Always in [1, n].
-    """
-    summary = _log_sum_and_ess(np.asarray(log_weights, dtype=float))
-    if summary is None:
-        raise ValueError("degenerate cloud: all log weights are -inf")
-    return summary[1]
 
 
 def multinomial_resample(log_weights, rng: np.random.Generator) -> np.ndarray:
@@ -137,18 +123,16 @@ def pf_step(
     if cloud is None:
         states = model.sample_initial(theta, n, rng)
         log_prev = np.zeros(n)
-        t = 1
     else:
         states = model.sample_transition(cloud.states, theta, rng)
         log_prev = cloud.log_weights
-        t = cloud.t + 1
     log_weights = log_prev + model.observation_log_density(y_t, states, theta)
     summary = _log_sum_and_ess(log_weights)
     if summary is not None and summary[1] < config.resample_fraction * n:
         idx = multinomial_resample(log_weights, rng)
         states = states[idx]
         log_weights = np.full(n, summary[0] - np.log(n))
-    return ParticleCloud(states=states, log_weights=log_weights, t=t)
+    return ParticleCloud(states=states, log_weights=log_weights)
 
 
 def run_pf(

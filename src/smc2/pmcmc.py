@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pf import PFConfig, run_pf
+from .ssm import param_labels
 
 INIT_ATTEMPTS = 50
 
@@ -64,13 +65,6 @@ def mh_accept(log_target_new: float, log_target_old: float,
         return False
     log_alpha = log_target_new - log_target_old + log_q_ratio
     return bool(u < np.exp(min(log_alpha, 0.0)))
-
-
-def _names(model, dim: int) -> tuple[str, ...]:
-    names = tuple(getattr(model, "param_names", ()) or ())
-    if len(names) != dim:
-        names = tuple(f"theta{j}" for j in range(dim))
-    return names
 
 
 def run_pmcmc(model, dataset, m_iterations: int, proposal_cov, pf_config: PFConfig,
@@ -149,7 +143,7 @@ def run_pmcmc(model, dataset, m_iterations: int, proposal_cov, pf_config: PFConf
         estimate=estimate,
         chain=chain,
         acceptance_rate=chain.accept_count / (m_iterations - 1),
-        param_names=_names(model, dim),
+        param_names=param_labels(model, dim),
         elapsed_seconds=time.perf_counter() - t0,
     )
 

@@ -36,6 +36,7 @@ from .comms import Communicator, GlobalSlice, GroupAborted
 from .numerics import tree_sum
 from .pf import PFConfig, run_pf
 from .resample import parallel_redistribute, reset_weights, systematic_choice
+from .ssm import param_labels
 
 LKERNELS = ("forward_symmetric", "approx_optimal_gaussian")
 
@@ -110,7 +111,6 @@ class Population:
     log_prior: np.ndarray    # (n_local,)
     log_lik: np.ndarray      # (n_local,)
     log_weights: np.ndarray  # (n_local,)
-    k: int
 
     @property
     def log_target(self) -> np.ndarray:
@@ -246,7 +246,7 @@ def init_population(config: SMC2Config, model, dataset, comm: Communicator,
         theta[j] = draw
         log_prior[j] = lp
     return Population(theta=theta, log_prior=log_prior, log_lik=log_lik,
-                      log_weights=log_lik.copy(), k=1)
+                      log_weights=log_lik.copy())
 
 
 def fit_gaussian_joint(comm: Communicator, theta_prev, theta) -> GaussianJointFit:
@@ -433,10 +433,6 @@ def run_smc2(config: SMC2Config, model, dataset, comm: Communicator,
     t0 = time.perf_counter()
     n_total = config.n_samples
     dim = config.dim
-    names = tuple(getattr(model, "param_names", ()) or
-                  tuple(f"theta{j}" for j in range(dim)))
-    if len(names) != dim:
-        names = tuple(f"theta{j}" for j in range(dim))
     use_gaussian_kernel = config.lkernel == "approx_optimal_gaussian"
 
     try:
@@ -482,7 +478,6 @@ def run_smc2(config: SMC2Config, model, dataset, comm: Communicator,
                     log_weights=weight_update(
                         pop.log_weights, target_old, lp_new + ll_new, log_l, log_q
                     ),
-                    k=k,
                 )
 
             normalized, log_total = normalize(comm, pop.log_weights)
@@ -507,7 +502,6 @@ def run_smc2(config: SMC2Config, model, dataset, comm: Communicator,
                     log_prior=payload[:, dim],
                     log_lik=payload[:, dim + 1],
                     log_weights=reset_weights(pop.log_weights, n_total, log_total),
-                    k=k,
                 )
         except GroupAborted:
             raise
@@ -527,7 +521,7 @@ def run_smc2(config: SMC2Config, model, dataset, comm: Communicator,
         final_estimate=estimates[-1],
         recycling_coefficients=coeffs,
         iterations=tuple(records),
-        param_names=names,
+        param_names=param_labels(model, dim),
         elapsed_seconds=time.perf_counter() - t0,
     )
 

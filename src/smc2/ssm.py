@@ -48,6 +48,14 @@ class SSMDefinition:
         raise NotImplementedError
 
 
+def param_labels(model, dim: int) -> tuple[str, ...]:
+    """The model's param_names, or theta0, theta1, ... when they do not fit dim."""
+    names = tuple(getattr(model, "param_names", ()) or ())
+    if len(names) != dim:
+        names = tuple(f"theta{j}" for j in range(dim))
+    return names
+
+
 # ---------------------------------------------------------------------------
 # Stochastic SIR epidemic with Poisson-observed infection counts.
 

@@ -100,7 +100,7 @@ def _share(cases: int, buckets: int) -> list[int]:
 
 
 def suite_comms(cases: int, seed: int) -> SuiteResult:
-    """Collectives against their numpy counterparts."""
+    """Collectives against numpy; exchange_at_distance against the expected rotation."""
     sizes = (1, 2, 4)
     shares = _share(cases, len(sizes))
     failures: list[str] = []
@@ -121,9 +121,16 @@ def suite_comms(cases: int, seed: int) -> SuiteResult:
                 expect = np.vstack([np.zeros(4), np.cumsum(data, axis=0)[:-1]])
                 if not np.allclose(prefix, expect[comm.rank], rtol=1e-12, atol=1e-12):
                     local_failures.append(f"{tag}: exclusive scan prefix wrong on rank {comm.rank}")
-                word = comm.broadcast(0, float(data[0, 0]))
-                if word != data[0, 0]:
+                row = comm.broadcast(0, data[0])
+                if not np.array_equal(row, data[0]):
                     local_failures.append(f"{tag}: broadcast payload corrupted")
+                for d in range(1, size):
+                    for direction, src in (("down", comm.rank + d), ("up", comm.rank - d)):
+                        got = comm.exchange_at_distance(d, data[comm.rank], direction)
+                        if not np.array_equal(got, data[src % size]):
+                            local_failures.append(
+                                f"{tag}: exchange_at_distance({d}, {direction!r}) "
+                                f"delivered the wrong row to rank {comm.rank}")
             return local_failures
         for per_rank in spawn_group(size, worker, seed):
             failures.extend(per_rank)

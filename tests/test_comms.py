@@ -14,30 +14,44 @@ from smc2.numerics import tree_sum
 
 def test_codec_roundtrip_structures():
     payloads = [
-        None,
-        True,
-        False,
-        7,
-        -3,
-        2.5,
-        float("-inf"),
-        "config",
-        b"\x00\x01raw",
         np.arange(6, dtype=np.float64).reshape(2, 3),
         np.array([1, -2, 3], dtype=np.int64),
         np.array([], dtype=np.float64),
-        (1, "a", [2.0, None], np.ones(2)),
-        [],
+        np.zeros((0, 4), dtype=np.int64),
+        np.array([float("-inf"), float("nan"), -0.0]),
+        np.arange(24.0).reshape(2, 3, 4).transpose(2, 0, 1),  # not C-contiguous
     ]
-    for obj in payloads:
-        back = unpack_payload(pack_payload(obj))
-        if isinstance(obj, np.ndarray):
-            assert back.dtype == obj.dtype
-            np.testing.assert_array_equal(back, obj)
-        elif isinstance(obj, tuple):
-            assert isinstance(back, tuple)
-        else:
-            assert back == obj and type(back) is type(obj)
+    for arr in payloads:
+        back = unpack_payload(pack_payload(arr))
+        assert back.dtype == arr.dtype and back.shape == arr.shape
+        np.testing.assert_array_equal(back, arr)
+
+
+def test_codec_widens_to_float64_and_int64():
+    back = unpack_payload(pack_payload(np.array([0.5, 1.5], dtype=np.float32)))
+    assert back.dtype == np.float64
+    np.testing.assert_array_equal(back, [0.5, 1.5])
+    back = unpack_payload(pack_payload(np.array([3, 4], dtype=np.uint8)))
+    assert back.dtype == np.int64
+    np.testing.assert_array_equal(back, [3, 4])
+
+
+def test_codec_frames_frozen():
+    # The wire format both backends share: tag, u64 ndim, u64 per axis,
+    # C-order little-endian data.  Changing it changes comms.bytes.
+    frames = {
+        "660200000000000000020000000000000003000000000000000000000000000000000000"
+        "000000f03f0000000000000040000000000000084000000000000010400000000000001440":
+            np.arange(6, dtype=np.float64).reshape(2, 3),
+        "69010000000000000003000000000000000100000000000000feffffffffffffff0300000000000000":
+            np.array([1, -2, 3], dtype=np.int64),
+        "6601000000000000000000000000000000": np.array([], dtype=np.float64),
+    }
+    for hex_frame, arr in frames.items():
+        assert pack_payload(arr).hex() == hex_frame
+        back = unpack_payload(bytes.fromhex(hex_frame))
+        assert back.dtype == arr.dtype
+        np.testing.assert_array_equal(back, arr)
 
 
 def test_codec_array_copies_are_writable():
@@ -48,10 +62,21 @@ def test_codec_array_copies_are_writable():
 
 
 def test_codec_rejects_unsupported():
-    with pytest.raises(CommError):
-        pack_payload({"a": 1})
-    with pytest.raises(CommError):
-        pack_payload(np.array(["x"], dtype=object))
+    # A message is one float or integer array; nothing else is framed.
+    payloads = [
+        {"a": 1}, None, 2.5, 7, "x", [1.0], (1,),
+        np.array([True, False]), np.array(["x"], dtype=object),
+    ]
+    for payload in payloads:
+        with pytest.raises(CommError):
+            pack_payload(payload)
+
+
+def test_codec_rejects_malformed_frames():
+    frame = pack_payload(np.arange(3.0))
+    for bad in (frame + b"\x00", frame[:-1], frame[:5], b"", b"D" + frame[1:]):
+        with pytest.raises(CommError):
+            unpack_payload(bad)
 
 
 def test_all_reduce_sum_two_ranks_elementwise():
@@ -129,10 +154,10 @@ def test_exclusive_scan_int_is_exact():
 
 def test_broadcast_from_nonzero_root():
     def worker(comm, seed):
-        value = "cfg" if comm.rank == 1 else None
-        return comm.broadcast(1, value)
+        value = np.array([3, 5]) if comm.rank == 1 else None
+        return comm.broadcast(1, value).tolist()
 
-    assert spawn_group(2, worker) == ["cfg", "cfg"]
+    assert spawn_group(2, worker) == [[3, 5], [3, 5]]
 
 
 def test_broadcast_array_everyone_gets_copy():
@@ -150,39 +175,43 @@ def test_broadcast_array_everyone_gets_copy():
 
 def test_broadcast_rounds_at_most_log2p():
     def worker(comm, seed):
-        comm.broadcast(0, 1.25)
+        comm.broadcast(0, np.array([1.25]))
         return comm.read_round_counter()
 
     assert spawn_group(8, worker) == [3] * 8
 
 
+def _rank_array(comm):
+    return np.array([comm.rank])
+
+
 def test_exchange_at_distance_down_receives_from_above():
     def worker(comm, seed):
-        return comm.exchange_at_distance(1, comm.rank, direction="down")
+        return int(comm.exchange_at_distance(1, _rank_array(comm), direction="down")[0])
 
     assert spawn_group(4, worker) == [1, 2, 3, 0]
 
 
 def test_exchange_at_distance_two_down():
-    payloads = ["a", "b", "c", "d"]
+    payloads = np.arange(8.0).reshape(4, 2)
 
     def worker(comm, seed):
-        return comm.exchange_at_distance(2, payloads[comm.rank], direction="down")
+        return comm.exchange_at_distance(2, payloads[comm.rank], direction="down").tolist()
 
-    assert spawn_group(4, worker) == ["c", "d", "a", "b"]
+    assert spawn_group(4, worker) == [[4.0, 5.0], [6.0, 7.0], [0.0, 1.0], [2.0, 3.0]]
 
 
 def test_exchange_at_distance_up_is_mirror():
     def worker(comm, seed):
-        return comm.exchange_at_distance(1, comm.rank, direction="up")
+        return int(comm.exchange_at_distance(1, _rank_array(comm), direction="up")[0])
 
     assert spawn_group(4, worker) == [3, 0, 1, 2]
 
 
 def test_exchange_counts_one_round():
     def worker(comm, seed):
-        comm.exchange_at_distance(1, None, direction="up")
-        comm.exchange_at_distance(2, None, direction="down")
+        comm.exchange_at_distance(1, _rank_array(comm), direction="up")
+        comm.exchange_at_distance(2, _rank_array(comm), direction="down")
         return comm.read_round_counter()
 
     assert spawn_group(4, worker) == [2] * 4
@@ -190,10 +219,10 @@ def test_exchange_counts_one_round():
 
 def test_exchange_rejects_bad_distance_and_direction():
     def bad_distance(comm, seed):
-        return comm.exchange_at_distance(4, None, direction="down")
+        return comm.exchange_at_distance(4, _rank_array(comm), direction="down")
 
     def bad_direction(comm, seed):
-        return comm.exchange_at_distance(1, None, direction="sideways")
+        return comm.exchange_at_distance(1, _rank_array(comm), direction="sideways")
 
     with pytest.raises(CommError):
         spawn_group(4, bad_distance)
@@ -201,11 +230,23 @@ def test_exchange_rejects_bad_distance_and_direction():
         spawn_group(4, bad_direction)
 
 
+def test_broadcast_and_exchange_take_arrays_only():
+    def bad_broadcast(comm, seed):
+        return comm.broadcast(0, 1.25)
+
+    def bad_exchange(comm, seed):
+        return comm.exchange_at_distance(1, comm.rank, direction="down")
+
+    for size, worker in ((1, bad_broadcast), (2, bad_broadcast), (2, bad_exchange)):
+        with pytest.raises(CommError):
+            spawn_group(size, worker)
+
+
 def test_reset_round_counter():
     def worker(comm, seed):
         comm.all_reduce_sum(1.0)
         comm.reset_round_counter()
-        comm.exchange_at_distance(1, None, direction="down")
+        comm.exchange_at_distance(1, _rank_array(comm), direction="down")
         return comm.read_round_counter()
 
     assert spawn_group(2, worker) == [1, 1]
@@ -215,10 +256,10 @@ def test_single_rank_degenerate_collectives():
     def worker(comm, seed):
         a = comm.all_reduce_sum(np.array([2.0, 3.0]))
         b = comm.exclusive_scan_sum(5.0)
-        c = comm.broadcast(0, "x")
-        return a.tolist(), b, c, comm.read_round_counter()
+        c = comm.broadcast(0, np.array([1.5]))
+        return a.tolist(), b, c.tolist(), comm.read_round_counter()
 
-    assert spawn_group(1, worker) == [([2.0, 3.0], 0.0, "x", 0)]
+    assert spawn_group(1, worker) == [([2.0, 3.0], 0.0, [1.5], 0)]
 
 
 def test_spawn_group_size_validation():
@@ -282,7 +323,7 @@ def test_randomized_schedules_never_deadlock():
             elif step % 3 == 1:
                 out.append(comm.exclusive_scan_sum(1.0))
             else:
-                out.append(comm.exchange_at_distance(1, comm.rank, direction="up"))
+                out.append(int(comm.exchange_at_distance(1, _rank_array(comm), "up")[0]))
         return out
 
     results = spawn_group(8, worker)

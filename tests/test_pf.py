@@ -8,8 +8,8 @@ from smc2.numerics import log_sum_exp
 from smc2.pf import (
     ParticleCloud,
     PFConfig,
+    _log_sum_and_ess,
     multinomial_resample,
-    pf_ess,
     pf_step,
     run_pf,
 )
@@ -78,42 +78,55 @@ class TestPFConfig:
 
 
 class TestESS:
+    """The ESS half of `_log_sum_and_ess`, the one pass `pf_step` makes."""
+
+    @staticmethod
+    def ess(lw):
+        return _log_sum_and_ess(np.asarray(lw, dtype=float))[1]
+
     def test_uniform_weights(self):
-        assert pf_ess(np.zeros(500)) == pytest.approx(500.0, rel=1e-12)
+        assert self.ess(np.zeros(500)) == pytest.approx(500.0, rel=1e-12)
         # Any common offset is a normalization constant and cancels.
-        assert pf_ess(np.full(500, -7.25)) == pytest.approx(500.0, rel=1e-12)
+        assert self.ess(np.full(500, -7.25)) == pytest.approx(500.0, rel=1e-12)
 
     def test_single_survivor(self):
         lw = np.full(64, -np.inf)
         lw[17] = -3.0
-        assert pf_ess(lw) == pytest.approx(1.0, rel=1e-12)
+        assert self.ess(lw) == pytest.approx(1.0, rel=1e-12)
 
     def test_frozen_value(self):
         lw = np.log(np.array([0.5, 0.25, 0.125, 0.125]))
-        assert pf_ess(lw) == pytest.approx(32.0 / 11.0, rel=1e-12)
-        assert pf_ess(lw) == pytest.approx(2.9091, abs=5e-5)
+        assert self.ess(lw) == pytest.approx(32.0 / 11.0, rel=1e-12)
+        assert self.ess(lw) == pytest.approx(2.9091, abs=5e-5)
+        assert _log_sum_and_ess(lw)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             lw = rng.normal(size=40)
-            assert pf_ess(lw + 123.4) == pytest.approx(pf_ess(lw), rel=1e-10)
+            assert self.ess(lw + 123.4) == pytest.approx(self.ess(lw), rel=1e-10)
 
     def test_bounds(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = int(rng.integers(2, 200))
             lw = rng.normal(scale=rng.uniform(0.1, 10.0), size=n)
-            ess = pf_ess(lw)
+            ess = self.ess(lw)
             assert 1.0 <= ess <= n + 1e-9
 
-    def test_degenerate_raises(self):
-        with pytest.raises(ValueError):
-            pf_ess(np.full(8, -np.inf))
+    def test_degenerate_is_none(self):
+        assert _log_sum_and_ess(np.full(8, -np.inf)) is None
 
     def test_nan_raises(self):
         with pytest.raises(ValueError):
-            pf_ess(np.array([0.0, np.nan]))
+            _log_sum_and_ess(np.array([0.0, np.nan]))
+
+
+def numpy_ess(lw) -> float:
+    """Independent oracle: 1 / sum of squared normalized weights."""
+    w = np.exp(lw - np.max(lw))
+    w_norm = w / w.sum()
+    return float(1.0 / np.sum(w_norm**2))
 
 
 class TestMultinomialResample:
@@ -166,7 +179,6 @@ class TestPFStep:
         model = ConstantDensityModel(np.log(0.3))
         cfg = PFConfig(n_particles=64)
         cloud = pf_step(None, 0.0, np.zeros(0), model, cfg, np.random.default_rng(0))
-        assert cloud.t == 1
         assert cloud.states.shape == (64, 1)
         np.testing.assert_allclose(cloud.log_weights, np.log(0.3))
 
@@ -175,13 +187,12 @@ class TestPFStep:
         cfg = PFConfig(n_particles=64)
         # Mild skew keeps ESS above the resampling threshold.
         lw = -0.01 * np.arange(64.0)
-        cloud = ParticleCloud(states=np.zeros((64, 1)), log_weights=lw.copy(), t=1)
-        ess_before = pf_ess(lw)
+        cloud = ParticleCloud(states=np.zeros((64, 1)), log_weights=lw.copy())
+        ess_before = numpy_ess(lw)
         assert ess_before >= 32.0
         out = pf_step(cloud, 0.0, np.zeros(0), model, cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(out.log_weights, lw + np.log(0.3))
-        assert pf_ess(out.log_weights) == pytest.approx(ess_before, rel=1e-12)
-        assert out.t == 2
+        assert numpy_ess(out.log_weights) == pytest.approx(ess_before, rel=1e-12)
 
     def test_resampling_bookkeeping(self):
         # One particle carries essentially all the weight, forcing a
@@ -193,17 +204,16 @@ class TestPFStep:
         cfg = PFConfig(n_particles=n)
         states = np.zeros((n, 1))
         states[0, 0] = 10.0
-        cloud = ParticleCloud(states=states, log_weights=np.zeros(n), t=3)
+        cloud = ParticleCloud(states=states, log_weights=np.zeros(n))
         expected_lw = states[:, 0].copy()
-        assert pf_ess(expected_lw) < n / 2
+        assert numpy_ess(expected_lw) < n / 2
         out = pf_step(cloud, 0.0, np.zeros(0), model, cfg, np.random.default_rng(5))
-        assert out.t == 4
         mean_log = log_sum_exp(expected_lw) - np.log(n)
         np.testing.assert_allclose(out.log_weights, mean_log, rtol=0, atol=0)
         assert log_sum_exp(out.log_weights) == pytest.approx(
             log_sum_exp(expected_lw), abs=1e-12
         )
-        assert pf_ess(out.log_weights) == pytest.approx(float(n), rel=1e-12)
+        assert numpy_ess(out.log_weights) == pytest.approx(float(n), rel=1e-12)
         # Ancestors are drawn from the updated weights, so nearly every
         # copy comes from the dominant particle.
         assert set(np.unique(out.states[:, 0])) <= {0.0, 10.0}
@@ -324,10 +334,10 @@ class TestInvariants:
         for _ in range(25):
             states = rng.normal(scale=3.0, size=(n, 1))
             prev = rng.normal(size=n)
-            cloud = ParticleCloud(states=states.copy(), log_weights=prev.copy(), t=1)
+            cloud = ParticleCloud(states=states.copy(), log_weights=prev.copy())
             expected = prev + states[:, 0]
             out = pf_step(cloud, 0.0, np.zeros(0), model, cfg, rng)
-            if pf_ess(expected) < n / 2:
+            if numpy_ess(expected) < n / 2:
                 triggered += 1
                 assert log_sum_exp(out.log_weights) == pytest.approx(
                     log_sum_exp(expected), abs=1e-12

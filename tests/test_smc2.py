@@ -664,7 +664,6 @@ class TestInitPopulation:
     def test_first_weights_equal_log_likelihood(self):
         pop = self.run_init(1)[0]
         np.testing.assert_array_equal(pop.log_weights, pop.log_lik)
-        assert pop.k == 1
         np.testing.assert_array_equal(pop.log_prior, np.zeros(8))
 
     def test_prior_draws_in_unit_square(self):
