@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 usage error, 2 runtime or suite failure.
 
 Worker groups are spawned per run (P ranks each) and joined before the
 next configuration starts, so sweep timings never overlap.  The transport
-comes from SMC2_BACKEND ("inprocess" threads by default, "mpi-like"
-processes).
+comes from SMC2_BACKEND ("mpi-like" forked processes by default,
+"inprocess" threads for debugging).
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 
 A group of P workers (P a power of two) runs the same program over private
 memories.  Workers exchange data only through the `Communicator` handed to
-them at spawn time; there is no shared mutable state.  The default backend
-runs ranks as threads inside this process, connected by blocking queues,
-which keeps runs deterministic and debuggable.  Setting SMC2_BACKEND to
-"mpi-like" selects a multi-process transport with the same interface.
+them at spawn time; there is no shared mutable state.  The default backend,
+"mpi-like", forks one process per rank with one pipe per ordered rank pair
+(`mp_backend`), so ranks run at the same time on separate CPUs, as they
+would on distributed-memory processors.  Setting SMC2_BACKEND to
+"inprocess" runs ranks as threads of the caller instead, connected by
+blocking queues, which is for debugging and tests: one interpreter, shared
+breakpoints, no fork.
 
 The rank threads of one in-process group all run on a single CPU.  The
 interpreter lock lets only one of them execute at a time anyway, and when
@@ -13,8 +16,7 @@ the OS spreads them over several CPUs every message hand-off becomes a
 cross-CPU wake-up followed by a lock hand-over, which costs several times
 more than the hand-off itself.  The CPU is the lowest one the caller may
 use, so separate processes running in-process groups at the same time
-share it unless each is started with its own affinity (taskset).  Only the
-"mpi-like" backend spreads ranks over several CPUs.
+share it unless each is started with its own affinity (taskset).
 
 Every message is one float or integer ndarray, framed as float64 or int64
 little-endian bytes behind a tag and its shape, so the two transports are
@@ -27,6 +29,12 @@ reproducible run to run and, combined with the block-local tree folds in
 
 The communicator counts one "round" per parallel communication step:
 log2(P) for each collective, exactly 1 for an exchange_at_distance.
+
+No wait for a peer lasts longer than `_DEADLINE_SECONDS`, on either
+backend.  A rank that waits that long for a message raises CommError
+naming itself, the peer, the collective and its round counter; the caller
+waits that long for the remaining ranks once the first rank has finished,
+then raises CommError naming the ranks that never did.
 """
 
 from __future__ import annotations
@@ -36,11 +44,13 @@ import os
 import queue
 import struct
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 _POLL_SECONDS = 0.05
+_DEADLINE_SECONDS = 600.0
 _MAX_GROUP_SIZE = 128
 
 _ENV_BACKEND = "SMC2_BACKEND"
@@ -48,7 +58,8 @@ _BACKENDS = ("inprocess", "mpi-like")
 
 
 class CommError(RuntimeError):
-    """Misuse of the communication layer (bad sizes, distances, payloads)."""
+    """Misuse or failure of the communication layer: bad sizes, distances or
+    payloads, a peer that missed the deadline, or a rank that died."""
 
 
 class GroupAborted(RuntimeError):
@@ -145,14 +156,18 @@ class _ThreadGroup:
     def send(self, src: int, dst: int, raw: bytes) -> None:
         self.channels[src][dst].put(raw)
 
-    def recv(self, src: int, dst: int) -> bytes:
+    def recv(self, src: int, dst: int, timeout: float) -> bytes:
+        """The next frame from src; TimeoutError after `timeout` seconds."""
         chan = self.channels[src][dst]
+        deadline = time.monotonic() + timeout
         while True:
             try:
                 return chan.get(timeout=_POLL_SECONDS)
             except queue.Empty:
                 if self._abort.is_set():
                     raise GroupAborted("another rank failed") from None
+                if time.monotonic() >= deadline:
+                    raise TimeoutError from None
 
 
 class Communicator:
@@ -170,8 +185,19 @@ class Communicator:
     def _send(self, dst: int, obj) -> None:
         self._group.send(self.rank, dst, pack_payload(obj))
 
-    def _recv(self, src: int):
-        return unpack_payload(self._group.recv(src, self.rank))
+    def _recv(self, src: int, collective: str):
+        try:
+            raw = self._group.recv(src, self.rank, _DEADLINE_SECONDS)
+        except TimeoutError:
+            raise CommError(f"deadline of {_DEADLINE_SECONDS:g}s passed while "
+                            f"{self._waiting(src, collective)}") from None
+        except GroupAborted as exc:
+            raise GroupAborted(f"{exc} while {self._waiting(src, collective)}") from None
+        return unpack_payload(raw)
+
+    def _waiting(self, src: int, collective: str) -> str:
+        return (f"rank {self.rank} waited for rank {src} in {collective} "
+                f"(round counter {self.round_counter})")
 
     # -- round accounting ---------------------------------------------------
 
@@ -195,7 +221,7 @@ class Communicator:
             d = 1 << level
             partner = self.rank ^ d
             self._send(partner, acc)
-            other = self._recv(partner)
+            other = self._recv(partner, "all_reduce_sum")
             if self.rank & d:
                 acc = other + acc
             else:
@@ -209,7 +235,7 @@ class Communicator:
         for level in range(self._stages):
             partner = self.rank ^ (1 << level)
             self._send(partner, acc)
-            other = self._recv(partner)
+            other = self._recv(partner, "all_reduce_max")
             acc = np.maximum(acc, other)
         self.round_counter += self._stages
         return _from_reduction_array(acc, was_scalar, kind)
@@ -228,7 +254,7 @@ class Communicator:
             d = 1 << level
             partner = self.rank ^ d
             self._send(partner, totals)
-            other = self._recv(partner)
+            other = self._recv(partner, "exclusive_scan_with_total")
             partner_blocks.append((d, other))
             if self.rank & d:
                 totals = other + totals
@@ -266,7 +292,7 @@ class Communicator:
             if vrank < d:
                 self._send((vrank + d + root) % self.size, current)
             elif vrank < 2 * d:
-                current = self._recv((vrank - d + root) % self.size)
+                current = self._recv((vrank - d + root) % self.size, "broadcast")
         self.round_counter += self._stages
         if vrank == 0:
             current = unpack_payload(pack_payload(current))
@@ -290,7 +316,7 @@ class Communicator:
             dst = (self.rank + d) % self.size
             src = (self.rank - d) % self.size
         self._send(dst, outgoing)
-        incoming = self._recv(src)
+        incoming = self._recv(src, "exchange_at_distance")
         self.round_counter += 1
         return incoming
 
@@ -323,9 +349,17 @@ def _validate_size(size: int) -> None:
         raise CommError(f"group size {size} exceeds limit {_MAX_GROUP_SIZE}")
 
 
+def _late_ranks_error(ranks) -> CommError:
+    """The error for ranks still running a deadline after the first finished."""
+    names = ", ".join(str(r) for r in sorted(ranks))
+    return CommError(f"rank{'s' if len(ranks) > 1 else ''} {names} produced no result "
+                     f"within {_DEADLINE_SECONDS:g}s of the first rank finishing")
+
+
 def _spawn_threads(size: int, worker, root_seed: int) -> list:
     group = _ThreadGroup(size)
     results = [None] * size
+    finished = queue.SimpleQueue()
     # The lowest CPU the caller may use; run under taskset to pick another.
     cpu = min(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
 
@@ -343,17 +377,27 @@ def _spawn_threads(size: int, worker, root_seed: int) -> list:
             pass
         except BaseException as exc:  # noqa: BLE001 - must unblock peers
             group.abort(exc)
+        finally:
+            finished.put(rank)
 
-    threads = [
-        threading.Thread(target=runner, args=(r,), name=f"smc2-rank{r}", daemon=True)
-        for r in range(size)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    for r in range(size):
+        threading.Thread(target=runner, args=(r,), name=f"smc2-rank{r}", daemon=True).start()
+    # After a failure the other ranks leave at their next receive.  A rank
+    # still running a deadline after the first one ended is left behind.
+    running = set(range(size))
+    deadline = None
+    while running:
+        timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+        try:
+            running.discard(finished.get(timeout=timeout))
+        except queue.Empty:
+            break
+        if deadline is None:
+            deadline = time.monotonic() + _DEADLINE_SECONDS
     if group.error is not None:
         raise group.error
+    if running:
+        raise _late_ranks_error(running)
     return results
 
 
@@ -361,12 +405,14 @@ def spawn_group(size: int, worker, root_seed: int = 0) -> list:
     """Run `worker(comm, root_seed)` on `size` ranks; return results by rank.
 
     The transport comes from the SMC2_BACKEND environment variable:
-    "inprocess" (default) runs ranks as threads of this process, "mpi-like"
-    runs them as separate processes.  A failure on any rank aborts the
-    group and re-raises the first error in the caller.
+    "mpi-like" (the default) forks one process per rank, "inprocess" runs
+    ranks as threads of this process, for debugging and tests.  Both give
+    bitwise-identical results.  A failure on any rank aborts the group and
+    re-raises the first error in the caller; a rank that stops responding
+    ends the run with CommError after `_DEADLINE_SECONDS`.
     """
     _validate_size(size)
-    backend = os.environ.get(_ENV_BACKEND, "inprocess")
+    backend = os.environ.get(_ENV_BACKEND, "mpi-like")
     if backend == "inprocess":
         return _spawn_threads(size, worker, root_seed)
     if backend == "mpi-like":

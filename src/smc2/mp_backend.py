@@ -1,25 +1,29 @@
 """Multi-process worker group: one forked process per rank, pipe channels.
 
-Selected with SMC2_BACKEND=mpi-like.  Ranks run the same collectives as the
-in-process backend; the transport is one unidirectional OS pipe per ordered
-rank pair, carrying the same byte frames, so results are bit-compatible
-with the thread backend.
+The default backend, also selected with SMC2_BACKEND=mpi-like.  Ranks run
+the same collectives as the in-process backend; the transport is one
+unidirectional OS pipe per ordered rank pair, carrying the same byte
+frames, so results are bit-compatible with the thread backend.
 
 Workers are ordinary closures, so the backend requires the fork start
 method (Linux).  Worker return values cross back to the parent through a
 per-rank result pipe and must be picklable.  A worker's exception crosses
-the same pipe and is re-raised in the parent with its own type.
+the same pipe and is re-raised in the parent with its own type.  A rank
+that dies without a result, or that a peer lost, ends the run with
+CommError; so does a rank still running `comms._DEADLINE_SECONDS` after the
+first rank ended, and the parent then terminates it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
+import time
 import traceback
+from multiprocessing.connection import wait
 
+from . import comms
 from .comms import CommError, Communicator, GroupAborted, _validate_size
-
-_JOIN_SECONDS = 600.0
 
 
 class RemoteTraceback(Exception):
@@ -66,11 +70,16 @@ class _PipeGroup:
         except (BrokenPipeError, OSError):
             raise GroupAborted("peer channel closed") from None
 
-    def recv(self, src: int, dst: int) -> bytes:
+    def recv(self, src: int, dst: int, timeout: float) -> bytes:
+        """The next frame from src; TimeoutError after `timeout` seconds."""
+        conn = self._recv_conns[src]
         try:
-            return self._recv_conns[src].recv_bytes()
+            raw = conn.recv_bytes() if conn.poll(timeout) else None
         except (EOFError, OSError):
-            raise GroupAborted("another rank failed") from None
+            raise GroupAborted("channel closed") from None
+        if raw is None:
+            raise TimeoutError
+        return raw
 
 
 def _run_rank(rank, size, channels, result_conn, worker, root_seed):
@@ -96,8 +105,8 @@ def _run_rank(rank, size, channels, result_conn, worker, root_seed):
     comm = Communicator(group, rank)
     try:
         outcome = ("ok", worker(comm, root_seed))
-    except GroupAborted:
-        outcome = ("aborted", None)
+    except GroupAborted as exc:
+        outcome = ("aborted", str(exc))
     except BaseException as exc:  # noqa: BLE001 - report, then unblock peers
         group.abort(None)
         outcome = ("error", (_pickled_or_none(exc), traceback.format_exc()))
@@ -114,7 +123,8 @@ def spawn_processes(size: int, worker, root_seed: int = 0) -> list:
     first failing rank's exception is re-raised with its own type, its
     `__cause__` a RemoteTraceback naming the rank and holding the child's
     traceback.  An exception that cannot be pickled becomes a RuntimeError
-    carrying the same text.
+    carrying the same text.  A rank that exits without a result raises
+    CommError with its exit code and what a peer waiting on it saw.
     """
     _validate_size(size)
     try:
@@ -146,25 +156,47 @@ def spawn_processes(size: int, worker, root_seed: int = 0) -> list:
         writer.close()
 
     outcomes: list = [None] * size
+    pending = {reader: rank for rank, (reader, _) in enumerate(result_pipes)}
+    deadline = None
     try:
-        for rank, (reader, _) in enumerate(result_pipes):
-            if reader.poll(_JOIN_SECONDS):
-                outcomes[rank] = reader.recv()
-            else:
-                raise RuntimeError(f"rank {rank} produced no result "
-                                   f"within {_JOIN_SECONDS:.0f}s")
+        while pending:
+            timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+            ready = wait(list(pending), timeout)
+            if not ready:
+                break
+            for reader in ready:
+                rank = pending.pop(reader)
+                try:
+                    outcomes[rank] = reader.recv()
+                except EOFError:
+                    outcomes[rank] = ("died", None)
+            if deadline is None:
+                deadline = time.monotonic() + comms._DEADLINE_SECONDS
     finally:
         for reader, _ in result_pipes:
             reader.close()
+        for proc, outcome in zip(procs, outcomes):
+            if outcome is None:
+                proc.terminate()
         for proc in procs:
             proc.join(timeout=5.0)
-        for proc in procs:
             if proc.is_alive():
-                proc.terminate()
+                proc.kill()
                 proc.join()
 
+    # The most telling failure first: a worker's own exception, then a rank
+    # that died, then what a peer saw of it, then ranks past the deadline.
     for rank, outcome in enumerate(outcomes):
-        status, payload = outcome
-        if status == "error":
-            raise _rank_error(rank, *payload)
+        if outcome is not None and outcome[0] == "error":
+            raise _rank_error(rank, *outcome[1])
+    lost = [outcome[1] for outcome in outcomes if outcome and outcome[0] == "aborted"]
+    for rank, outcome in enumerate(outcomes):
+        if outcome is not None and outcome[0] == "died":
+            seen = f"; {lost[0]}" if lost else ""
+            raise CommError(f"rank {rank} exited with code {procs[rank].exitcode} "
+                            f"before returning a result{seen}")
+    if lost:
+        raise CommError(lost[0])
+    if pending:
+        raise comms._late_ranks_error(pending.values())
     return [payload for _, payload in outcomes]

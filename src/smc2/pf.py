@@ -53,11 +53,13 @@ class ParticleCloud:
 
     states has one row per particle; log_weights may contain -inf for
     particles killed by the observation density, but never NaN.  A cloud
-    whose weights are all -inf is degenerate: it carries zero likelihood.
+    whose weights are all -inf is degenerate: it carries zero likelihood,
+    and `pf_step` returns it with alive=False.
     """
 
     states: np.ndarray
     log_weights: np.ndarray
+    alive: bool = True
 
 
 def _max_log_weight(lw: np.ndarray):
@@ -69,32 +71,44 @@ def _max_log_weight(lw: np.ndarray):
 
 
 def _log_sum_and_ess(lw: np.ndarray):
-    """lse(lw) and the ESS exp(2*lse(lw) - lse(2*lw)), or None if all -inf.
+    """lse(lw), the ESS exp(2*lse(lw) - lse(2*lw)), and the pair (terms
+    exp(lw - max(lw)), their sum); None if every weight is -inf.
 
     One max serves both sums.  Each term is the expression `log_sum_exp`
     evaluates (max(2*lw) is 2*max(lw), and 2*lw - 2*m is 2*(lw - m)
     exactly), so the ESS and the resampling decision match it bit for bit.
+    The pair is what `multinomial_resample` would compute from lw, so its
+    cumulative weights can start from it.
     """
     m = _max_log_weight(lw)
     if m == -np.inf:
         return None
     shifted = lw - m
-    lse = m + np.log(np.exp(shifted).sum())
+    terms = np.exp(shifted)
+    total = terms.sum()
+    lse = m + np.log(total)
     lse_sq = 2.0 * m + np.log(np.exp(2.0 * shifted).sum())
-    return lse, float(np.exp(2.0 * lse - lse_sq))
+    return lse, float(np.exp(2.0 * lse - lse_sq)), (terms, total)
 
 
-def multinomial_resample(log_weights, rng: np.random.Generator) -> np.ndarray:
+def multinomial_resample(log_weights, rng: np.random.Generator, terms=None) -> np.ndarray:
     """Draw len(log_weights) ancestor indices i.i.d. from the normalized
-    weights, returned in draw order."""
-    lw = np.asarray(log_weights, dtype=float)
-    m = _max_log_weight(lw)
-    if m == -np.inf:
-        raise ValueError("degenerate cloud: all log weights are -inf")
-    shifted = np.exp(lw - m)
-    cdf = np.cumsum(shifted / shifted.sum())
+    weights, returned in draw order.
+
+    `terms`, if given, is the pair (exp(lw - max(lw)), its sum) for these
+    log weights, already computed by the caller; the draws are the same.
+    """
+    if terms is None:
+        lw = np.asarray(log_weights, dtype=float)
+        m = _max_log_weight(lw)
+        if m == -np.inf:
+            raise ValueError("degenerate cloud: all log weights are -inf")
+        w = np.exp(lw - m)
+        terms = w, w.sum()
+    w, total = terms
+    cdf = np.cumsum(w / total)
     cdf[-1] = 1.0  # round-off must not exclude the last index
-    draws = rng.random(lw.shape[0])
+    draws = rng.random(w.shape[0])
     return np.searchsorted(cdf, draws, side="right").astype(np.int64)
 
 
@@ -114,9 +128,9 @@ def pf_step(
     resampled and every particle's unnormalized weight becomes the
     pre-resampling mean weight (in log domain, lse(lw) - ln n).
 
-    A cloud whose weights are all -inf is returned as-is; the caller is
-    expected to read it as zero likelihood.  A NaN or +inf weight raises
-    ValueError.
+    A cloud whose weights are all -inf is returned as-is, with
+    alive=False; the caller is expected to read it as zero likelihood.  A
+    NaN or +inf weight raises ValueError.
     """
     n = config.n_particles
     theta = np.asarray(theta, dtype=float)
@@ -128,10 +142,13 @@ def pf_step(
         log_prev = cloud.log_weights
     log_weights = log_prev + model.observation_log_density(y_t, states, theta)
     summary = _log_sum_and_ess(log_weights)
-    if summary is not None and summary[1] < config.resample_fraction * n:
-        idx = multinomial_resample(log_weights, rng)
-        states = states[idx]
-        log_weights = np.full(n, summary[0] - np.log(n))
+    if summary is None:
+        return ParticleCloud(states=states, log_weights=log_weights, alive=False)
+    lse, ess, terms = summary
+    if ess < config.resample_fraction * n:
+        idx = multinomial_resample(log_weights, rng, terms=terms)
+        states = states.take(idx, axis=0)
+        log_weights = np.full(n, lse - np.log(n))
     return ParticleCloud(states=states, log_weights=log_weights)
 
 
@@ -154,6 +171,6 @@ def run_pf(
     cloud: ParticleCloud | None = None
     for y_t in ys:
         cloud = pf_step(cloud, y_t, theta, model, config, rng)
-        if cloud.log_weights.max() == -np.inf:
+        if not cloud.alive:
             return float("-inf")
     return float(log_sum_exp(cloud.log_weights) - np.log(config.n_particles))

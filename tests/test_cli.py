@@ -375,6 +375,7 @@ class TestProcessBackend:
         def worker(comm, seed):
             return comm.all_reduce_sum(np.arange(4.0) + comm.rank)
 
+        monkeypatch.setenv("SMC2_BACKEND", "inprocess")
         expected = spawn_group(2, worker, 0)
         monkeypatch.setenv("SMC2_BACKEND", "mpi-like")
         results = spawn_group(2, worker, 0)
@@ -416,6 +417,7 @@ class TestProcessBackend:
         def worker(comm, seed):
             return run_smc2(config, SIRModel(SMALL), dataset, comm, seed)
 
+        monkeypatch.setenv("SMC2_BACKEND", "inprocess")
         baseline = spawn_group(2, worker, 12)[0]
         monkeypatch.setenv("SMC2_BACKEND", "mpi-like")
         forked = spawn_group(2, worker, 12)[0]

@@ -1,5 +1,6 @@
 """Worker-group transport: codec, collectives, rounds, failure handling."""
 
+import multiprocessing
 import os
 import threading
 import time
@@ -275,7 +276,7 @@ def test_unknown_backend_rejected(monkeypatch):
         spawn_group(2, lambda comm, seed: None)
 
 
-def test_worker_exception_propagates_and_unblocks_peers():
+def _raise_on_rank_two():
     def worker(comm, seed):
         if comm.rank == 2:
             raise ValueError("rank 2 exploded")
@@ -286,10 +287,15 @@ def test_worker_exception_propagates_and_unblocks_peers():
         spawn_group(4, worker)
 
 
+def test_worker_exception_propagates_and_unblocks_peers(monkeypatch):
+    monkeypatch.setenv("SMC2_BACKEND", "inprocess")
+    _raise_on_rank_two()
+
+
 def test_worker_exception_propagates_on_processes(monkeypatch):
     # The process backend must re-raise the same type as the thread one.
     monkeypatch.setenv("SMC2_BACKEND", "mpi-like")
-    test_worker_exception_propagates_and_unblocks_peers()
+    _raise_on_rank_two()
 
 
 def test_global_slice_concatenation_identity():
@@ -376,3 +382,77 @@ def test_inprocess_rank_threads_share_one_cpu(monkeypatch):
     assert len({frozenset(cpus) for cpus in per_rank}) == 1
     assert per_rank[0] <= before
     assert os.sched_getaffinity(0) == before
+
+
+def test_default_backend_runs_ranks_in_forked_processes(monkeypatch):
+    monkeypatch.delenv("SMC2_BACKEND", raising=False)
+    pids = spawn_group(2, lambda comm, seed: os.getpid())
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+
+
+def test_inprocess_backend_runs_ranks_as_threads_of_the_caller(monkeypatch):
+    monkeypatch.setenv("SMC2_BACKEND", "inprocess")
+    per_rank = spawn_group(2, lambda comm, seed: (os.getpid(),
+                                                  threading.current_thread().name))
+    assert per_rank == [(os.getpid(), "smc2-rank0"), (os.getpid(), "smc2-rank1")]
+
+
+# Deadline tests: a rank that stops responding must end the run with a
+# CommError, never a hang.  `release` frees a hung rank thread afterwards;
+# a hung rank process is terminated by the caller.
+
+@pytest.fixture(params=["inprocess", "mpi-like"])
+def release(request, monkeypatch):
+    """Run on each backend with a short deadline; yields the hung rank's release."""
+    monkeypatch.setenv("SMC2_BACKEND", request.param)
+    # Under 1 s, yet long enough that a slow fork never trips it.
+    monkeypatch.setattr(comms, "_DEADLINE_SECONDS", 0.8)
+    release = threading.Event()
+    yield release
+    release.set()
+    assert not multiprocessing.active_children()
+
+
+def test_hung_peer_ends_the_wait_with_comm_error(release):
+    def worker(comm, seed):
+        comm.all_reduce_sum(1.0)
+        if comm.rank == 1:
+            release.wait(30.0)
+        return comm.all_reduce_sum(1.0)
+
+    start = time.monotonic()
+    with pytest.raises(CommError, match=r"deadline of 0\.8s passed while rank 0 waited "
+                                        r"for rank 1 in all_reduce_sum \(round counter 1\)"):
+        spawn_group(2, worker)
+    assert time.monotonic() - start < 10.0
+
+
+def test_rank_running_past_the_deadline_ends_the_run(release):
+    def worker(comm, seed):
+        comm.all_reduce_sum(1.0)
+        if comm.rank == 1:
+            release.wait(30.0)
+        return comm.rank
+
+    with pytest.raises(CommError, match=r"rank 1 produced no result within 0\.8s "
+                                        r"of the first rank finishing"):
+        spawn_group(2, worker)
+
+
+def test_crashed_rank_ends_the_run(release):
+    # A rank process dies outright; a rank thread can only raise.
+    forked = os.environ["SMC2_BACKEND"] == "mpi-like"
+
+    def worker(comm, seed):
+        comm.all_reduce_sum(1.0)
+        if comm.rank == 1:
+            if forked:
+                os._exit(3)
+            raise ValueError("rank 1 crashed")
+        return comm.all_reduce_sum(1.0)
+
+    expected = (r"rank 1 exited with code 3 before returning a result; channel closed "
+                r"while rank 0 waited for rank 1 in all_reduce_sum \(round counter 1\)"
+                if forked else "rank 1 crashed")
+    with pytest.raises(CommError if forked else ValueError, match=expected):
+        spawn_group(2, worker)

@@ -224,6 +224,10 @@ class TestPFStep:
         cfg = PFConfig(n_particles=8)
         cloud = pf_step(None, 0.0, np.zeros(0), model, cfg, np.random.default_rng(0))
         assert np.all(np.isneginf(cloud.log_weights))
+        assert not cloud.alive
+        live = pf_step(None, 0.0, np.zeros(0), ConstantDensityModel(0.0), cfg,
+                       np.random.default_rng(0))
+        assert live.alive
 
     @pytest.mark.parametrize("log_c", [np.nan, np.inf])
     def test_non_finite_weight_raises(self, log_c):

@@ -704,6 +704,15 @@ def run_sampler(size, config, model, dataset, seed, loglik_fn=None):
     return spawn_group(size, worker, seed)
 
 
+def result_bytes(result):
+    """Every number a run reports, as bytes, for bitwise comparisons."""
+    parts = [result.recycled_estimate, result.recycling_coefficients]
+    for rec in result.iterations:
+        parts += [np.array([rec.ess, rec.l_k, rec.logz_increment, rec.resampled]),
+                  rec.estimate]
+    return [np.asarray(p).tobytes() for p in parts]
+
+
 class TestRunSMC2:
     def test_single_iteration_is_importance_sampling(self):
         """K=1 from the prior is plain self-normalized IS on the conjugate target."""
@@ -789,20 +798,29 @@ class TestRunSMC2:
                             proposal_cov=0.25 * np.eye(2), pf_config=tiny_pf(),
                             lkernel="approx_optimal_gaussian")
 
-        def outputs(result):
-            parts = [result.recycled_estimate, result.recycling_coefficients]
-            for rec in result.iterations:
-                parts += [np.array([rec.ess, rec.l_k, rec.logz_increment,
-                                    rec.resampled]), rec.estimate]
-            return [np.asarray(p).tobytes() for p in parts]
-
         runs = {p: run_sampler(p, config, GaussianToyModel2D(), None, 606,
                                loglik_fn=plane_loglik) for p in (1, 2, 4, 8)}
-        want = outputs(runs[1][0])
+        want = result_bytes(runs[1][0])
         assert any(rec.resampled for rec in runs[1][0].iterations)
         for p in (2, 4, 8):
             for result in runs[p]:
-                assert outputs(result) == want
+                assert result_bytes(result) == want
+
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("lkernel", ["forward_symmetric", "approx_optimal_gaussian"])
+    def test_default_backend_matches_threads_bitwise(self, monkeypatch, lkernel, size):
+        """Forked ranks (the default) and rank threads give identical bytes."""
+        config = SMC2Config(n_samples=16, n_iterations=4,
+                            proposal_cov=0.25 * np.eye(2), pf_config=tiny_pf(),
+                            lkernel=lkernel)
+        monkeypatch.setenv("SMC2_BACKEND", "inprocess")
+        threads = run_sampler(size, config, GaussianToyModel2D(), None, 31,
+                              loglik_fn=plane_loglik)
+        monkeypatch.delenv("SMC2_BACKEND")
+        forked = run_sampler(size, config, GaussianToyModel2D(), None, 31,
+                             loglik_fn=plane_loglik)
+        assert any(rec.resampled for rec in threads[0].iterations)
+        assert [result_bytes(r) for r in forked] == [result_bytes(r) for r in threads]
 
     def test_forced_resampling_every_iteration(self):
         config = SMC2Config(n_samples=64, n_iterations=4,
