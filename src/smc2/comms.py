@@ -31,8 +31,9 @@ The communicator counts one "round" per parallel communication step:
 log2(P) for each collective, exactly 1 for an exchange_at_distance.
 
 No wait for a peer lasts longer than `_DEADLINE_SECONDS`, on either
-backend.  A rank that waits that long for a message raises CommError
-naming itself, the peer, the collective and its round counter; the caller
+backend.  A rank that waits that long for a message, or to hand one to a
+peer that has stopped reading, raises CommError naming itself, the peer,
+the collective and its round counter; the caller
 waits that long for the remaining ranks once the first rank has finished,
 then raises CommError naming the ranks that never did.
 """
@@ -153,7 +154,8 @@ class _ThreadGroup:
                 self.error = exc
         self._abort.set()
 
-    def send(self, src: int, dst: int, raw: bytes) -> None:
+    def send(self, src: int, dst: int, raw: bytes, timeout: float) -> None:
+        """Queue a frame for dst; an unbounded queue never blocks."""
         self.channels[src][dst].put(raw)
 
     def recv(self, src: int, dst: int, timeout: float) -> bytes:
@@ -182,22 +184,27 @@ class Communicator:
 
     # -- raw point-to-point, used only by the collectives below ------------
 
-    def _send(self, dst: int, obj) -> None:
-        self._group.send(self.rank, dst, pack_payload(obj))
+    def _send(self, dst: int, obj, collective: str) -> None:
+        raw = pack_payload(obj)
+        try:
+            self._group.send(self.rank, dst, raw, _DEADLINE_SECONDS)
+        except (TimeoutError, GroupAborted) as exc:
+            raise self._wait_failed(exc, f"to send to rank {dst}", collective) from None
 
     def _recv(self, src: int, collective: str):
         try:
             raw = self._group.recv(src, self.rank, _DEADLINE_SECONDS)
-        except TimeoutError:
-            raise CommError(f"deadline of {_DEADLINE_SECONDS:g}s passed while "
-                            f"{self._waiting(src, collective)}") from None
-        except GroupAborted as exc:
-            raise GroupAborted(f"{exc} while {self._waiting(src, collective)}") from None
+        except (TimeoutError, GroupAborted) as exc:
+            raise self._wait_failed(exc, f"for rank {src}", collective) from None
         return unpack_payload(raw)
 
-    def _waiting(self, src: int, collective: str) -> str:
-        return (f"rank {self.rank} waited for rank {src} in {collective} "
-                f"(round counter {self.round_counter})")
+    def _wait_failed(self, exc: Exception, what: str, collective: str) -> Exception:
+        """A timed-out or aborted wait, reworded to name rank, peer and round."""
+        where = (f"rank {self.rank} waited {what} in {collective} "
+                 f"(round counter {self.round_counter})")
+        if isinstance(exc, GroupAborted):
+            return GroupAborted(f"{exc} while {where}")
+        return CommError(f"deadline of {_DEADLINE_SECONDS:g}s passed while {where}")
 
     # -- round accounting ---------------------------------------------------
 
@@ -220,7 +227,7 @@ class Communicator:
         for level in range(self._stages):
             d = 1 << level
             partner = self.rank ^ d
-            self._send(partner, acc)
+            self._send(partner, acc, "all_reduce_sum")
             other = self._recv(partner, "all_reduce_sum")
             if self.rank & d:
                 acc = other + acc
@@ -234,7 +241,7 @@ class Communicator:
         acc, was_scalar, kind = _as_reduction_array(value)
         for level in range(self._stages):
             partner = self.rank ^ (1 << level)
-            self._send(partner, acc)
+            self._send(partner, acc, "all_reduce_max")
             other = self._recv(partner, "all_reduce_max")
             acc = np.maximum(acc, other)
         self.round_counter += self._stages
@@ -253,7 +260,7 @@ class Communicator:
         for level in range(self._stages):
             d = 1 << level
             partner = self.rank ^ d
-            self._send(partner, totals)
+            self._send(partner, totals, "exclusive_scan_with_total")
             other = self._recv(partner, "exclusive_scan_with_total")
             partner_blocks.append((d, other))
             if self.rank & d:
@@ -290,7 +297,7 @@ class Communicator:
         for level in range(self._stages):
             d = 1 << level
             if vrank < d:
-                self._send((vrank + d + root) % self.size, current)
+                self._send((vrank + d + root) % self.size, current, "broadcast")
             elif vrank < 2 * d:
                 current = self._recv((vrank - d + root) % self.size, "broadcast")
         self.round_counter += self._stages
@@ -315,7 +322,7 @@ class Communicator:
         else:
             dst = (self.rank + d) % self.size
             src = (self.rank - d) % self.size
-        self._send(dst, outgoing)
+        self._send(dst, outgoing, "exchange_at_distance")
         incoming = self._recv(src, "exchange_at_distance")
         self.round_counter += 1
         return incoming

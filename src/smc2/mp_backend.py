@@ -11,13 +11,17 @@ per-rank result pipe and must be picklable.  A worker's exception crosses
 the same pipe and is re-raised in the parent with its own type.  A rank
 that dies without a result, or that a peer lost, ends the run with
 CommError; so does a rank still running `comms._DEADLINE_SECONDS` after the
-first rank ended, and the parent then terminates it.
+first rank ended, and the parent then terminates it.  A send to a rank that
+has stopped reading gives up after the same deadline.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import select
+import struct
 import time
 import traceback
 from multiprocessing.connection import wait
@@ -48,13 +52,45 @@ def _rank_error(rank: int, blob: bytes | None, text: str) -> BaseException:
     return exc
 
 
+def _frame_header(n: int) -> bytes:
+    """The length prefix `Connection.recv_bytes` reads before n bytes."""
+    if n > 0x7FFFFFFF:
+        return struct.pack("!iQ", -1, n)
+    return struct.pack("!i", n)
+
+
+def _write_by(fd: int, chunks, deadline: float) -> bool:
+    """Write the chunks in order to a non-blocking fd; False once the deadline passes."""
+    views = [memoryview(c) for c in chunks]
+    while views:
+        try:
+            written = os.writev(fd, views)
+        except BlockingIOError:
+            poller = select.poll()
+            poller.register(fd, select.POLLOUT)
+            if not poller.poll(max(0.0, deadline - time.monotonic()) * 1000.0):
+                return False
+            continue
+        while views and written >= len(views[0]):
+            written -= len(views.pop(0))
+        if views:
+            views[0] = views[0][written:]
+    return True
+
+
 class _PipeGroup:
-    """Pipe-backed counterpart of the thread group's send/recv/abort."""
+    """Pipe-backed counterpart of the thread group's send/recv/abort.
+
+    Outgoing descriptors are non-blocking, so a send to a peer that has
+    stopped reading waits in `poll` and gives up at its deadline.
+    """
 
     def __init__(self, size: int, recv_conns: dict, send_conns: dict):
         self.size = size
         self._recv_conns = recv_conns
         self._send_conns = send_conns
+        for conn in send_conns.values():
+            os.set_blocking(conn.fileno(), False)
 
     def abort(self, exc: BaseException) -> None:
         # This process holds the only write end of each of its outgoing
@@ -64,11 +100,16 @@ class _PipeGroup:
         for conn in self._recv_conns.values():
             conn.close()
 
-    def send(self, src: int, dst: int, raw: bytes) -> None:
+    def send(self, src: int, dst: int, raw: bytes, timeout: float) -> None:
+        """Write one frame to dst; TimeoutError after `timeout` seconds."""
+        deadline = time.monotonic() + timeout
         try:
-            self._send_conns[dst].send_bytes(raw)
-        except (BrokenPipeError, OSError):
+            fd = self._send_conns[dst].fileno()
+            sent = _write_by(fd, (_frame_header(len(raw)), raw), deadline)
+        except OSError:
             raise GroupAborted("peer channel closed") from None
+        if not sent:
+            raise TimeoutError
 
     def recv(self, src: int, dst: int, timeout: float) -> bytes:
         """The next frame from src; TimeoutError after `timeout` seconds."""

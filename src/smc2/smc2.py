@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import rng as streams
 from .comms import Communicator, GlobalSlice, GroupAborted
@@ -165,6 +164,25 @@ def gaussian_log_density(x, mean, cov) -> float | np.ndarray:
     return _gaussian_log_density_chol(x, mean, chol)
 
 
+def _cho_solve_rows(chol, b) -> np.ndarray:
+    """x with chol chol^T x = b along the last axis, for a lower-triangular chol.
+
+    Forward then back substitution without BLAS, each in column order and
+    scaled by the diagonal's reciprocals, the order of OpenBLAS's
+    triangular solve, which keeps the result within rounding of scipy's
+    cho_solve.
+    """
+    x = np.array(b, dtype=float)
+    inv_diag = 1.0 / np.diag(chol)
+    for k in range(chol.shape[0]):
+        x[..., k] *= inv_diag[k]
+        x[..., k + 1:] -= x[..., k, None] * chol[k + 1:, k]
+    for k in reversed(range(chol.shape[0])):
+        x[..., k] *= inv_diag[k]
+        x[..., :k] -= x[..., k, None] * chol[k, :k]
+    return x
+
+
 def _gaussian_log_density_chol(x, mean, chol) -> float | np.ndarray:
     """log N(x; mean, chol chol^T) over leading axes; one point gives a float."""
     dev = np.asarray(x, dtype=float) - mean
@@ -198,15 +216,24 @@ def evaluate_target(model, dataset, theta, pf_config: PFConfig, make_rng,
     rng) when given.  `make_rng()` opens the stream it draws from.
     Out-of-support thetas short-circuit: no stream is opened, the filter
     is never run and the likelihood slot is reported as -inf (it is
-    unused, the target is already zero).
+    unused, the target is already zero).  A NaN or +inf log prior or
+    log-likelihood raises ValueError naming theta; -inf is a zero density.
     """
-    log_prior = float(model.log_prior(theta))
+    log_prior = _checked("log prior", float(model.log_prior(theta)), theta)
     if log_prior == float("-inf"):
         return log_prior, float("-inf")
     rng = make_rng()
     if loglik_fn is not None:
-        return log_prior, float(loglik_fn(theta, rng))
-    return log_prior, run_pf(model, dataset, theta, pf_config, rng)
+        log_lik = float(loglik_fn(theta, rng))
+    else:
+        log_lik = run_pf(model, dataset, theta, pf_config, rng)
+    return log_prior, _checked("log-likelihood", log_lik, theta)
+
+
+def _checked(name: str, value: float, theta) -> float:
+    if not value < float("inf"):  # NaN and +inf both fail this comparison
+        raise ValueError(f"{name} is {value} at theta {np.asarray(theta).tolist()}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +326,10 @@ def lkernel_log_density(theta_prev, theta_curr,
         raise RuntimeError(
             "regularized curr/curr covariance is not positive definite"
         ) from exc
-    solved = cho_solve((l22, True), fit.cov_prev_curr.T)  # transposed gain C_pc S22^-1
-    cov_cond = fit.cov_prev_prev - fit.cov_prev_curr @ solved
+    gain = _cho_solve_rows(l22, fit.cov_prev_curr)  # C_pc S22^-1, row by row
+    cov_cond = fit.cov_prev_prev - fit.cov_prev_curr @ gain.T
     dev = np.asarray(theta_curr, dtype=float) - fit.mean_curr
-    mean_cond = fit.mean_prev + np.sum(solved.T * dev[..., None, :], axis=-1)  # no BLAS
+    mean_cond = fit.mean_prev + np.sum(gain * dev[..., None, :], axis=-1)  # no BLAS
     try:
         return gaussian_log_density(theta_prev, mean_cond, cov_cond)
     except RuntimeError as exc:
@@ -440,7 +467,7 @@ def run_smc2(config: SMC2Config, model, dataset, comm: Communicator,
     except GroupAborted:
         raise
     except Exception as exc:
-        raise RuntimeError(f"sampler initialization failed: {exc}") from exc
+        raise RuntimeError(f"iteration 1: sampler initialization failed: {exc}") from exc
 
     global_idx = GlobalSlice.for_rank(n_total, comm.size, comm.rank).global_indices()
     prev_log_total = float(np.log(n_total))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class SSMDefinition:
@@ -104,9 +104,35 @@ def sir_transition(states, theta, n_pop: int, rng: np.random.Generator,
     return out
 
 
+# Stirling-series coefficients and log(sqrt(2 pi)) of cephes `lgam`.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+
+
 @functools.lru_cache(maxsize=4096)
 def _log_factorial(y: int) -> float:
-    return gammaln(y + 1)
+    """log y! for an integer y >= 0, bitwise scipy's gammaln(y + 1).
+
+    Follows cephes `lgam`, which scipy uses: below 13 the product of the
+    integers is exact, above it the Stirling series with cephes' own
+    coefficients and cut-offs.
+    """
+    if y < 12:
+        return math.log(float(math.factorial(y)))
+    x = float(y + 1)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = _LGAM_A[0]
+    for coef in _LGAM_A[1:]:
+        poly = poly * p + coef
+    return q + poly / x
 
 
 def sir_observation_logpdf(y, infected) -> np.ndarray:

@@ -390,6 +390,14 @@ def test_default_backend_runs_ranks_in_forked_processes(monkeypatch):
     assert len(set(pids)) == 2 and os.getpid() not in pids
 
 
+def test_frame_larger_than_a_pipe_buffer_arrives_intact(monkeypatch):
+    monkeypatch.delenv("SMC2_BACKEND", raising=False)
+    big = np.arange(100_000, dtype=np.float64)  # 800 KB, partial writes
+    got = spawn_group(2, lambda comm, seed: comm.broadcast(0, big))
+    for arr in got:
+        np.testing.assert_array_equal(arr, big)
+
+
 def test_inprocess_backend_runs_ranks_as_threads_of_the_caller(monkeypatch):
     monkeypatch.setenv("SMC2_BACKEND", "inprocess")
     per_rank = spawn_group(2, lambda comm, seed: (os.getpid(),
@@ -423,6 +431,25 @@ def test_hung_peer_ends_the_wait_with_comm_error(release):
     start = time.monotonic()
     with pytest.raises(CommError, match=r"deadline of 0\.8s passed while rank 0 waited "
                                         r"for rank 1 in all_reduce_sum \(round counter 1\)"):
+        spawn_group(2, worker)
+    assert time.monotonic() - start < 10.0
+
+
+def test_send_to_a_stalled_reader_ends_with_comm_error(release):
+    # 800 KB outgrows a pipe's buffer, so a rank process blocks in the send;
+    # a rank thread's send never blocks and the wait is for the reply.
+    forked = os.environ["SMC2_BACKEND"] == "mpi-like"
+
+    def worker(comm, seed):
+        if comm.rank == 1:
+            release.wait(30.0)
+        return comm.exchange_at_distance(1, np.zeros(100_000))
+
+    waited = "to send to rank 1" if forked else "for rank 1"
+    start = time.monotonic()
+    with pytest.raises(CommError, match=rf"deadline of 0\.8s passed while rank 0 waited "
+                                        rf"{waited} in exchange_at_distance "
+                                        rf"\(round counter 0\)"):
         spawn_group(2, worker)
     assert time.monotonic() - start < 10.0
 

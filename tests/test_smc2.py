@@ -4,13 +4,14 @@ import csv
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, linalg, stats
 
 from smc2.comms import spawn_group
 from smc2.pf import PFConfig
 from smc2.smc2 import (
     GaussianJointFit,
     SMC2Config,
+    _cho_solve_rows,
     ess,
     estimate,
     evaluate_target,
@@ -263,6 +264,30 @@ class TestEvaluateTarget:
         assert (lp, ll) == (0.0, -0.5)
         assert seen == [stream]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nan_or_inf_likelihood_raises_naming_theta(self, bad):
+        model = SIRModel(SIRConfig(n_pop=100, i0=1, n_steps=3))
+        with pytest.raises(ValueError, match=rf"log-likelihood is {bad} at theta \[0\.5, 0\.3\]"):
+            evaluate_target(model, None, np.array([0.5, 0.3]), tiny_pf(),
+                            lambda: np.random.default_rng(0), lambda th, rng: bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nan_or_inf_prior_raises_naming_theta(self, bad):
+        class BadPrior(GaussianToyModel):
+            def log_prior(self, theta):
+                return bad
+
+        opened = []
+        with pytest.raises(ValueError, match=rf"log prior is {bad} at theta \[0\.25\]"):
+            evaluate_target(BadPrior(), None, np.array([0.25]), tiny_pf(),
+                            lambda: opened.append(1), conjugate_loglik)
+        assert opened == []
+
+    def test_zero_likelihood_is_valid(self):
+        lp, ll = evaluate_target(GaussianToyModel(), None, np.array([0.25]), tiny_pf(),
+                                 lambda: None, lambda th, rng: float("-inf"))
+        assert np.isfinite(lp) and ll == -np.inf
+
 
 class TestFitGaussianJoint:
     def test_two_point_moments(self):
@@ -366,6 +391,17 @@ class TestLKernelDensity:
             var = joint[0, 0] - joint[0, 1] ** 2 / joint[1, 1]
             want = stats.norm.logpdf(x, loc=mu, scale=np.sqrt(var))
             assert lkernel_log_density([x], [tc], fit) == pytest.approx(want, abs=1e-5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_solve_matches_cho_solve(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(200):
+            a = rng.normal(size=(d, d))
+            chol = np.linalg.cholesky(a @ a.T + d * np.eye(d))
+            b = rng.normal(size=(d, d))
+            want = linalg.cho_solve((chol, True), b.T).T
+            got = _cho_solve_rows(chol, b)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_collapsed_conditional_rejected(self):
         fit = make_fit([0.0], [0.0], [[1e-6]], [[10.0]], [[1.0]])
@@ -850,6 +886,35 @@ class TestRunSMC2:
         with pytest.raises(RuntimeError, match="iteration 1.*degenerate"):
             run_sampler(1, config, GaussianToyModel(), None, 5,
                         loglik_fn=lambda th, rng: float("-inf"))
+
+    @pytest.mark.parametrize("backend", ["inprocess", "mpi-like"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nan_likelihood_ends_run_naming_iteration_and_rank(self, monkeypatch,
+                                                                backend, k):
+        """A NaN from loglik_fn on rank 1 at iteration k ends the run, never a zero."""
+        monkeypatch.setenv("SMC2_BACKEND", backend)
+        config = SMC2Config(n_samples=8, n_iterations=4,
+                            proposal_cov=0.25 * np.eye(2), pf_config=tiny_pf())
+
+        def worker(comm, root_seed):
+            calls = []
+
+            def loglik(theta, rng):
+                # the prior has full support: each iteration makes 4 calls per rank
+                calls.append(theta)
+                if comm.rank == 1 and len(calls) == 4 * (k - 1) + 1:
+                    return float("nan")
+                return plane_loglik(theta, rng)
+
+            return run_smc2(config, GaussianToyModel2D(), None, comm, root_seed,
+                            loglik_fn=loglik)
+
+        with pytest.raises(RuntimeError,
+                           match=rf"^iteration {k}: .*log-likelihood is nan at theta \["
+                           ) as info:
+            spawn_group(2, worker, 7)
+        if backend == "mpi-like":
+            assert str(info.value.__cause__).startswith("rank 1 failed")
 
     def test_collapsed_population_ends_gaussian_lkernel_run(self):
         """A one-point prior leaves the L-kernel no density at k=2: an error, not +26."""

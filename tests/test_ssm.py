@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from smc2 import rng as rng_mod
 from smc2.ssm import (
@@ -11,6 +11,7 @@ from smc2.ssm import (
     SIRConfig,
     SIRModel,
     kalman_loglik,
+    _log_factorial,
     read_dataset,
     simulate,
     simulate_sir,
@@ -107,6 +108,20 @@ class TestSIRObservation:
             mine = sir_observation_logpdf(y, intensities)
             ref = stats.poisson.logpmf(y, intensities)
             np.testing.assert_allclose(mine, ref, rtol=1e-12)
+
+    def test_log_factorial_is_bitwise_gammaln(self):
+        log_factorial = _log_factorial.__wrapped__  # bypass the cache
+        small = np.arange(20_001)
+        want = special.gammaln(small + 1.0)
+        assert [log_factorial(int(y)) for y in small] == want.tolist()
+        rng = np.random.default_rng(19)
+        large = np.concatenate([
+            rng.integers(20_001, 10**6, 2_000), rng.integers(10**6, 10**10, 2_000),
+            [998, 999, 1000, 10**8 - 2, 10**8 - 1, 10**8, 10**8 + 1],
+        ])
+        assert [log_factorial(int(y)) for y in large] == \
+            [float(special.gammaln(int(y) + 1)) for y in large]
+        assert type(_log_factorial(7)) is float and type(_log_factorial(70)) is float
 
     def test_extinct_state_point_mass(self):
         out = sir_observation_logpdf(0, np.array([0.0, 2.0]))
